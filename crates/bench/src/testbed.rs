@@ -408,17 +408,31 @@ mod tests {
 
     #[test]
     fn replicated_testbed_runs_to_completion() {
-        let config = TestbedConfig {
-            replicas: 2,
-            clients: 1,
-            requests_per_client: 50,
-            ..TestbedConfig::default()
-        };
-        let mut bed = build_replicated(&config);
-        bed.world.run_for(SimDuration::from_secs(2));
-        assert_eq!(bed.total_completed(), 50);
-        assert_eq!(bed.merged_rtt().count(), 50);
-        assert!(bed.bandwidth_mbps() > 0.0);
+        // Active replicas all execute every request; in warm passive only
+        // the primary (replica 0) does.
+        for (style, executions) in [
+            (ReplicationStyle::Active, [50, 50, 50]),
+            (ReplicationStyle::WarmPassive, [50, 0, 0]),
+        ] {
+            let config = TestbedConfig {
+                replicas: 3,
+                clients: 1,
+                requests_per_client: 50,
+                style,
+                ..TestbedConfig::default()
+            };
+            let mut bed = build_replicated(&config);
+            bed.world.run_for(SimDuration::from_secs(2));
+            assert_eq!(bed.total_completed(), 50, "{style:?}");
+            assert_eq!(bed.merged_rtt().count(), 50, "{style:?}");
+            assert!(bed.bandwidth_mbps() > 0.0);
+            let executed: Vec<u64> = bed
+                .obs
+                .iter()
+                .map(|o| o.metrics.counter(vd_obs::Ctr::RepExecuted))
+                .collect();
+            assert_eq!(executed, executions, "{style:?}");
+        }
     }
 
     #[test]

@@ -864,6 +864,7 @@ impl ReplicationEngine {
         ));
         let outcome = self.app.invoke(&entry.operation, &entry.args);
         self.executed_requests += 1;
+        self.config.obs.metrics.incr(Ctr::RepExecuted);
         let wire_reply = match outcome {
             Ok(body) => Reply {
                 request_id: entry.request_id,

@@ -131,26 +131,27 @@ impl std::error::Error for DeltaError {}
 /// Format: `new_len: u32`, then runs of `(offset: u32, len: u32, bytes)`.
 /// States that changed length are encoded as one whole-state run (the diff
 /// degenerates gracefully instead of failing).
+///
+/// Cost: one compare pass that skips equal spans 32 bytes at a time,
+/// byte-wise work only around changed bytes, and a copy of the changed
+/// runs alone.
 pub fn diff_state(old: &Bytes, new: &Bytes) -> Bytes {
+    let (old, new): (&[u8], &[u8]) = (old, new);
+    let n = new.len();
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&(new.len() as u32).to_le_bytes());
-    if old.len() != new.len() {
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    if old.len() != n {
         out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(new.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(n as u32).to_le_bytes());
         out.extend_from_slice(new);
         return Bytes::from(out);
     }
     let mut i = 0;
-    let n = new.len();
-    while i < n {
-        if old[i] == new[i] {
-            i += 1;
-            continue;
-        }
-        // Extend the run while bytes differ, absorbing gaps shorter than
-        // the 8-byte run header (one longer run beats two headers).
-        let start = i;
-        let mut end = i + 1;
+    while let Some(start) = first_difference(&old[i..], &new[i..]).map(|d| i + d) {
+        // Extend the run while bytes differ, absorbing gaps of up to 8
+        // equal bytes, the size of a run header (one longer run costs no
+        // more than two headers).
+        let mut end = start + 1;
         let mut scan = end;
         while scan < n {
             if old[scan] != new[scan] {
@@ -168,6 +169,26 @@ pub fn diff_state(old: &Bytes, new: &Bytes) -> Bytes {
         i = end;
     }
     Bytes::from(out)
+}
+
+/// Bytes [`diff_state`] compares at a time while skipping an equal span.
+const CHUNK: usize = 32;
+
+/// Index of the first byte where the equal-length `a` and `b` differ.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+    let (chunks_a, _) = a.as_chunks::<CHUNK>();
+    let (chunks_b, _) = b.as_chunks::<CHUNK>();
+    let equal = chunks_a
+        .iter()
+        .zip(chunks_b)
+        .take_while(|(x, y)| x == y)
+        .count()
+        * CHUNK;
+    a[equal..]
+        .iter()
+        .zip(&b[equal..])
+        .position(|(x, y)| x != y)
+        .map(|d| equal + d)
 }
 
 /// Applies a delta produced by [`diff_state`] to `base`, yielding the new

@@ -61,6 +61,122 @@ impl Mirror {
     }
 }
 
+/// The delta encoding one byte at a time, as `diff_state` first
+/// specified it. Checkpoint byte counts and explorer digests depend on the
+/// exact delta bytes, so `diff_state` must emit these bytes however it
+/// finds the changed runs.
+fn reference_diff(old: &[u8], new: &[u8]) -> Vec<u8> {
+    let n = new.len();
+    let mut out = (n as u32).to_le_bytes().to_vec();
+    if old.len() != n {
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        out.extend_from_slice(new);
+        return out;
+    }
+    let mut i = 0;
+    while i < n {
+        if old[i] == new[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut end = i + 1;
+        let mut scan = end;
+        while scan < n {
+            if old[scan] != new[scan] {
+                end = scan + 1;
+                scan = end;
+            } else if scan - end < 8 {
+                scan += 1;
+            } else {
+                break;
+            }
+        }
+        out.extend_from_slice(&(start as u32).to_le_bytes());
+        out.extend_from_slice(&((end - start) as u32).to_le_bytes());
+        out.extend_from_slice(&new[start..end]);
+        i = end;
+    }
+    out
+}
+
+/// `diff_state(old, new)` equals the reference bytes and applies back.
+fn assert_pinned(old: &[u8], new: &[u8], what: &str) {
+    let (old_b, new_b) = (Bytes::copy_from_slice(old), Bytes::copy_from_slice(new));
+    let delta = diff_state(&old_b, &new_b);
+    assert_eq!(delta, reference_diff(old, new), "{what}");
+    assert_eq!(apply_delta(&old_b, &delta).as_ref(), Ok(&new_b), "{what}");
+}
+
+#[test]
+fn delta_encoding_matches_the_byte_at_a_time_reference() {
+    // Every position of states that end on, before and after word (8 B)
+    // and chunk (32 B) boundaries, changed alone and paired with a second
+    // change across a gap of 7, 8 or 9 equal bytes, plus changed tails
+    // shorter than one word.
+    for len in [1usize, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100] {
+        let old = vec![0x11u8; len];
+        for p in 0..len {
+            let mut new = old.clone();
+            new[p] ^= 0xFF;
+            assert_pinned(&old, &new, &format!("{len} bytes, byte {p} changed"));
+            for gap in [7, 8, 9] {
+                let q = p + gap + 1;
+                if q < len {
+                    let mut pair = new.clone();
+                    pair[q] ^= 0xFF;
+                    assert_pinned(&old, &pair, &format!("{len} bytes, {p} and {q} changed"));
+                }
+            }
+        }
+        for tail in 1..8.min(len) {
+            let mut new = old.clone();
+            new[len - tail..].fill(0x22);
+            assert_pinned(&old, &new, &format!("{len} bytes, last {tail} changed"));
+        }
+    }
+
+    // Gaps of 7 and 8 equal bytes join one run; a gap of 9 splits it.
+    let old = vec![0u8; 64];
+    for (gap, delta_len) in [(7, 4 + 8 + 9), (8, 4 + 8 + 10), (9, 4 + 2 * (8 + 1))] {
+        let mut new = old.clone();
+        new[20] = 1;
+        new[21 + gap] = 1;
+        let delta = diff_state(&Bytes::from(old.clone()), &Bytes::from(new));
+        assert_eq!(delta.len(), delta_len, "gap of {gap}");
+    }
+
+    // Identical states are a header alone; length changes are one
+    // whole-state run.
+    let same = Bytes::from(old.clone());
+    assert_eq!(diff_state(&same, &same), 64u32.to_le_bytes());
+    assert_pinned(&old, &old, "identical");
+    assert_pinned(&[], &[], "empty");
+    assert_pinned(&old, &old[..40], "shrunk");
+    assert_pinned(&old, &[old.as_slice(), &[1; 9]].concat(), "grown");
+    assert_pinned(&[], &old, "grown from empty");
+
+    // Seeded states of random lengths up to 64 KiB, with scattered
+    // changes of random spans.
+    let mut rng = DeterministicRng::new(0xD1FF_5EED);
+    for round in 0..40 {
+        let len = rng.gen_range_u64(0..=64 * 1024) as usize;
+        let old: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut new = old.clone();
+        if len > 0 {
+            for _ in 0..rng.gen_range_u64(0..=64) {
+                let at = rng.gen_range_u64(0..=(len as u64 - 1)) as usize;
+                let span = rng.gen_range_u64(1..=24) as usize;
+                for b in &mut new[at..(at + span).min(len)] {
+                    *b = rng.next_u64() as u8;
+                }
+            }
+        }
+        assert_pinned(&old, &new, &format!("round {round}, {len} bytes"));
+    }
+}
+
 #[test]
 fn delta_chains_reconstruct_full_state_exactly() {
     let mut rng = DeterministicRng::new(0xDE17A);

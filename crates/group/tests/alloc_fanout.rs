@@ -8,6 +8,7 @@
 //! perform O(1) payload-sized allocations, not O(N).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -30,15 +31,25 @@ const THRESHOLD: usize = PAYLOAD / 2;
 
 struct CountingAlloc;
 
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static PAYLOAD_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread inside [`payload_allocs_during`]: allocations made
+    /// by other threads (other tests, the test harness) are not counted.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring(size: usize) {
+    if size >= THRESHOLD && MEASURING.try_with(Cell::get).unwrap_or(false) {
+        PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; the counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= THRESHOLD {
-            PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_measuring(layout.size());
         System.alloc(layout)
     }
 
@@ -47,10 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if new_size >= THRESHOLD {
-            PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_measuring(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,9 +66,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tests measuring the counters take this lock so concurrent test threads
-/// do not pollute each other's deltas.
+/// Serializes measurements, so one measuring thread never sees another's
+/// allocations. A test that failed while holding it leaves nothing to
+/// repair, so a poisoned lock is taken over.
 static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Runs `f`, returning its result and the payload-sized allocations the
+/// calling thread made meanwhile.
+fn payload_allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    let out = f();
+    MEASURING.with(|m| m.set(false));
+    (out, PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before)
+}
 
 const GROUP: GroupId = GroupId(9);
 
@@ -80,16 +100,14 @@ fn send_count(outputs: &[Output]) -> usize {
 
 #[test]
 fn fan_out_payload_allocations_are_independent_of_group_size() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut payload_allocs = Vec::new();
     for n in [4u64, 64] {
         let mut e = member_endpoint(n, GroupConfig::default());
         let payload = Bytes::from(vec![0xABu8; PAYLOAD]);
-        let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
-        let outputs = e
-            .multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload)
-            .unwrap();
-        let grew = PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before;
+        let (outputs, grew) = payload_allocs_during(|| {
+            e.multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload)
+                .unwrap()
+        });
         assert_eq!(send_count(&outputs), n as usize - 1, "one frame per peer");
         payload_allocs.push(grew);
     }
@@ -105,19 +123,19 @@ fn fan_out_payload_allocations_are_independent_of_group_size() {
 
 #[test]
 fn batched_fan_out_builds_one_shared_frame() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let config = GroupConfig::default().batch_max_messages(8);
     let mut e = member_endpoint(64, config);
     let payload = Bytes::from(vec![0xCDu8; PAYLOAD]);
-    let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
-    let mut outputs = Vec::new();
-    for _ in 0..8 {
-        outputs.extend(
-            e.multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload.clone())
-                .unwrap(),
-        );
-    }
-    let grew = PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before;
+    let (outputs, grew) = payload_allocs_during(|| {
+        let mut outputs = Vec::new();
+        for _ in 0..8 {
+            outputs.extend(
+                e.multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload.clone())
+                    .unwrap(),
+            );
+        }
+        outputs
+    });
     assert_eq!(
         grew, 0,
         "batching coalesces shared payloads; no payload-sized copies"
@@ -142,22 +160,18 @@ fn batched_fan_out_builds_one_shared_frame() {
 
 #[test]
 fn partial_batches_flush_on_the_timer_without_copies() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let config = GroupConfig::default().batch_max_messages(16);
     let mut e = member_endpoint(8, config);
     let payload = Bytes::from(vec![0xEFu8; PAYLOAD]);
-    let before = PAYLOAD_ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..3 {
-        let outputs = e
-            .multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload.clone())
-            .unwrap();
-        assert_eq!(send_count(&outputs), 0, "held for the batch");
-    }
-    let outputs = e.handle_timer(SimTime::ZERO, GroupTimer::BatchFlush);
-    assert_eq!(
-        PAYLOAD_ALLOCS.load(Ordering::Relaxed) - before,
-        0,
-        "flushing a partial batch copies no payloads"
-    );
+    let (outputs, grew) = payload_allocs_during(|| {
+        for _ in 0..3 {
+            let outputs = e
+                .multicast(SimTime::ZERO, DeliveryOrder::Fifo, payload.clone())
+                .unwrap();
+            assert_eq!(send_count(&outputs), 0, "held for the batch");
+        }
+        e.handle_timer(SimTime::ZERO, GroupTimer::BatchFlush)
+    });
+    assert_eq!(grew, 0, "flushing a partial batch copies no payloads");
     assert_eq!(send_count(&outputs), 7, "the timer flushed to every peer");
 }

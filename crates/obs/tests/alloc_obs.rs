@@ -8,6 +8,7 @@
 //! `crates/group/tests/alloc_fanout.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -17,9 +18,23 @@ struct CountingAlloc;
 
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread inside [`allocs_during`]: allocations made by
+    /// other threads (other tests, the test harness) are not counted.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measuring() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; the counting touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.alloc(layout)
     }
 
@@ -28,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measuring();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,13 +51,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tests measuring the counter take this lock so concurrent test
-/// threads do not pollute each other's deltas.
+/// Serializes measurements, so one measuring thread never sees another's
+/// allocations. A test that failed while holding it leaves nothing to
+/// repair, so a poisoned lock is taken over.
 static MEASURE: Mutex<()> = Mutex::new(());
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocs_during(f: impl FnOnce()) -> u64 {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let before = TOTAL_ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
     f();
+    MEASURING.with(|m| m.set(false));
     TOTAL_ALLOCS.load(Ordering::Relaxed) - before
 }
 
@@ -62,7 +82,6 @@ fn sample_event(t: u64) -> Event {
 #[test]
 fn disabled_sink_emit_allocates_nothing() {
     let obs = Obs::disabled();
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for t in 0..10_000 {
             obs.emit(t, 7, sample_event(t).kind);
@@ -78,7 +97,6 @@ fn enabled_sink_emit_allocates_nothing() {
     // phase (push within reserved capacity) and the wrap phase
     // (overwrite oldest).
     let sink = TraceSink::with_capacity(1024);
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for t in 0..10_000 {
             sink.emit(sample_event(t));
@@ -92,7 +110,6 @@ fn enabled_sink_emit_allocates_nothing() {
 #[test]
 fn metric_recording_allocates_nothing() {
     let obs = Obs::disabled();
-    let _guard = MEASURE.lock().unwrap();
     let n = allocs_during(|| {
         for i in 0..10_000u64 {
             obs.metrics.incr(Ctr::GroupSends);
