@@ -227,13 +227,12 @@ pub fn build_replicated(config: &TestbedConfig) -> Testbed {
     let mut obs = Vec::new();
     let mut recovery_replica_config = None;
     for i in 0..config.replicas {
-        let mut knobs = LowLevelKnobs::default()
+        let knobs = LowLevelKnobs::default()
             .style(config.style)
             .num_replicas(config.replicas)
             .checkpoint_interval(config.checkpoint_interval)
             .checkpoint_full_every(config.checkpoint_full_every)
             .batch_max_messages(config.batch_max_messages.max(1));
-        knobs.fault_monitoring_timeout = config.failure_timeout;
         let replica_obs = new_obs();
         obs.push(replica_obs.clone());
         let replica_config = ReplicaConfig {
@@ -432,6 +431,27 @@ mod tests {
                 .map(|o| o.metrics.counter(vd_obs::Ctr::RepExecuted))
                 .collect();
             assert_eq!(executed, executions, "{style:?}");
+            // Each heartbeat round sends one frame to each peer, and a
+            // received frame counts once, whatever it carries: no replica
+            // can receive more frames than its peers sent rounds.
+            let counter =
+                |c| -> Vec<u64> { bed.obs.iter().map(|o| o.metrics.counter(c)).collect() };
+            let sent = counter(vd_obs::Ctr::GroupHeartbeatsSent);
+            let recv = counter(vd_obs::Ctr::GroupHeartbeatsRecv);
+            for (i, &got) in recv.iter().enumerate() {
+                let peers_sent: u64 = sent
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &n)| n)
+                    .sum();
+                assert!(got > 0, "{style:?}: replica {i} received no heartbeats");
+                assert!(
+                    got <= peers_sent,
+                    "{style:?}: replica {i} counted {got} heartbeats received, \
+                     but its peers sent only {peers_sent} frames to it"
+                );
+            }
         }
     }
 

@@ -7,6 +7,14 @@
 //! availability, real-time guarantees) that policies map onto low-level
 //! settings. Table 1 of the paper gives the mapping; [`mapping`] reproduces
 //! it and the knob structs carry the actual values.
+//!
+//! The fault-monitoring interval and timeout are not fields of
+//! [`LowLevelKnobs`]: they live in `vd_group::config::GroupConfig`
+//! (`heartbeat_interval`, `failure_timeout`), the one place the failure
+//! detector reads them. Together they set the fault-detection time of
+//! Table 1's availability column; the `group.fault_detection_us` histogram
+//! records the measured value, which lands in `(timeout, timeout +
+//! interval]`.
 
 use std::fmt;
 
@@ -29,16 +37,6 @@ pub struct LowLevelKnobs {
     /// "frequency of checkpointing" row; §4.2 ties it to the
     /// availability/bandwidth trade-off.
     pub checkpoint_interval: SimDuration,
-    /// Fault-monitoring (heartbeat) interval — the FT-CORBA
-    /// fault-monitoring knob of the paper's §2; together with the
-    /// timeout it sets the fault-detection time of Table 1's
-    /// availability column.
-    pub fault_monitoring_interval: SimDuration,
-    /// Fault-monitoring timeout: silence longer than this raises a
-    /// suspicion (§2, FT-CORBA fault monitoring). Measured detection
-    /// latency lands in `(timeout, timeout + interval]`; the
-    /// `group.fault_detection_us` histogram records the real value.
-    pub fault_monitoring_timeout: SimDuration,
     /// Incremental checkpoint period: every `K`-th checkpoint is a full
     /// snapshot and the `K−1` in between are byte deltas against the
     /// previous checkpoint. `0` or `1` disables deltas (every checkpoint
@@ -57,17 +55,11 @@ impl LowLevelKnobs {
     ///
     /// # Errors
     ///
-    /// Returns a message when the settings cannot work (no replicas, or a
-    /// timeout not exceeding the monitoring interval).
+    /// Returns a message when the settings cannot work (no replicas, a
+    /// passive style without a checkpoint interval, or batching set to 0).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_replicas == 0 {
             return Err("at least one replica is required".into());
-        }
-        if self.fault_monitoring_timeout <= self.fault_monitoring_interval {
-            return Err(format!(
-                "fault-monitoring timeout ({}) must exceed the interval ({})",
-                self.fault_monitoring_timeout, self.fault_monitoring_interval
-            ));
         }
         if self.style.uses_checkpoints() && self.checkpoint_interval.is_zero() {
             return Err("passive styles need a positive checkpoint interval".into());
@@ -126,8 +118,6 @@ impl Default for LowLevelKnobs {
             style: ReplicationStyle::WarmPassive,
             num_replicas: 2,
             checkpoint_interval: SimDuration::from_millis(10),
-            fault_monitoring_interval: SimDuration::from_millis(10),
-            fault_monitoring_timeout: SimDuration::from_millis(50),
             checkpoint_full_every: 1,
             batch_max_messages: 1,
         }
@@ -138,13 +128,11 @@ impl fmt::Display for LowLevelKnobs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}×{} ckpt={} full/{} fd={}/{} batch={}",
+            "{}×{} ckpt={} full/{} batch={}",
             self.style,
             self.num_replicas,
             self.checkpoint_interval,
             self.checkpoint_full_every.max(1),
-            self.fault_monitoring_interval,
-            self.fault_monitoring_timeout,
             self.batch_max_messages
         )
     }
@@ -259,9 +247,6 @@ mod tests {
     #[test]
     fn invalid_knobs_rejected() {
         assert!(LowLevelKnobs::default().num_replicas(0).validate().is_err());
-        let mut k = LowLevelKnobs::default();
-        k.fault_monitoring_timeout = k.fault_monitoring_interval;
-        assert!(k.validate().is_err());
         assert!(LowLevelKnobs::default()
             .checkpoint_interval(SimDuration::ZERO)
             .validate()

@@ -1,5 +1,6 @@
-//! Fault-detection-time accounting, end to end: the group endpoint
-//! measures the silence that triggered each suspicion into
+//! Fault-detection-time accounting, end to end: the process-level
+//! failure detector (a [`MultiEndpoint`], exactly as every replica hosts
+//! its groups) measures the silence that triggered each suspicion into
 //! `group.fault_detection_us`, and the monitor surfaces the measured
 //! mean as `Observations::fault_detection_micros` (the paper's Table 1
 //! "fault detection time" property, fed by real measurements rather
@@ -9,7 +10,9 @@
 //! of `T`, the failure check also runs every `H`, so a crash right
 //! after a heartbeat is detected after more than `T` but no later than
 //! `T + H` of silence. Each scenario here checks the measured latency
-//! lands inside that window.
+//! lands inside that window. The peer's heartbeats arrive on a regular
+//! cadence, so the adaptive detector's dead threshold sits at its floor,
+//! the configured timeout.
 
 use std::sync::Arc;
 
@@ -19,23 +22,28 @@ use vd_obs::{Ctr, Hist, Obs};
 use vd_simnet::time::{SimDuration, SimTime};
 use vd_simnet::topology::ProcessId;
 
-/// Runs a two-member group where the peer heartbeats for a while and
-/// then goes silent; returns the silence the survivor measured at
-/// suspicion time, in µs.
 /// The single group under test — named once, threaded everywhere below.
 const GROUP: GroupId = GroupId(1);
 
+/// Runs a two-member group where the peer heartbeats for a while and
+/// then goes silent; returns the silence the survivor measured at
+/// suspicion time, in µs.
 fn measured_detection_us(heartbeat_ms: u64, timeout_ms: u64) -> u64 {
     let hb = SimDuration::from_millis(heartbeat_ms);
     let config = GroupConfig::default()
         .heartbeat_interval(hb)
         .failure_timeout(SimDuration::from_millis(timeout_ms));
     let members = vec![ProcessId(1), ProcessId(2)];
-    let mut survivor = Endpoint::bootstrap(ProcessId(1), GROUP, config, members);
+    let mut endpoint = Endpoint::bootstrap(ProcessId(1), GROUP, config, members);
+    let view_id = endpoint.view().id();
     let obs = Obs::enabled();
+    // Suspicions land on the endpoint's handle, heartbeat counters on the
+    // process's: share one registry, as a replica does.
+    endpoint.set_obs(obs.clone());
+    let mut survivor = MultiEndpoint::new(ProcessId(1), hb, config.failure_timeout);
     survivor.set_obs(obs.clone());
+    survivor.add_endpoint(endpoint);
     let _ = survivor.start(SimTime::ZERO);
-    let view_id = survivor.view().id();
 
     // The peer's last heartbeat lands at `crash`; afterwards it is silent.
     let crash = SimTime::ZERO + SimDuration::from_millis(10 * heartbeat_ms);
@@ -48,19 +56,21 @@ fn measured_detection_us(heartbeat_ms: u64, timeout_ms: u64) -> u64 {
             "no suspicion by {now:?} (hb={heartbeat_ms}ms timeout={timeout_ms}ms)"
         );
         if now <= crash {
-            let _ = survivor.handle_message(
+            survivor.handle_heartbeat(
                 now,
                 ProcessId(2),
-                GroupMsg::Heartbeat {
-                    group: GROUP,
-                    view_id,
-                    acks: Arc::new(Vec::new()),
-                    delivered_global: 0,
+                &ProcessHeartbeat {
+                    sections: vec![HeartbeatSection {
+                        group: GROUP,
+                        view_id,
+                        acks: Arc::new(Vec::new()),
+                        delivered_global: 0,
+                    }],
                 },
             );
         }
-        let _ = survivor.handle_timer(now, GroupTimer::Heartbeat);
-        let _ = survivor.handle_timer(now, GroupTimer::FailureCheck);
+        let _ = survivor.handle_timer(now, MultiTimer::Heartbeat);
+        let _ = survivor.handle_timer(now, MultiTimer::FailureCheck);
     }
 
     let fd = obs.metrics.hist(Hist::FaultDetectionUs);

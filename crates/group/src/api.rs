@@ -56,13 +56,11 @@ pub enum GroupEvent {
     SelfEvicted,
 }
 
-/// Timers an endpoint can request.
+/// Timers an endpoint can request. Heartbeats and failure checks are not
+/// among them: liveness belongs to the process-level detector in
+/// [`crate::multi::MultiEndpoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupTimer {
-    /// Periodic heartbeat + ack broadcast.
-    Heartbeat,
-    /// Periodic failure-detection scan.
-    FailureCheck,
     /// Periodic re-NACK of outstanding gaps.
     NackRetry,
     /// One-shot flush-round timeout for the given proposal.
@@ -134,7 +132,7 @@ mod tests {
         assert_eq!(out.as_delivery().unwrap().payload.as_ref(), b"x");
         let timer = Output::SetTimer {
             delay: SimDuration::from_millis(1),
-            timer: GroupTimer::Heartbeat,
+            timer: GroupTimer::NackRetry,
         };
         assert!(timer.as_event().is_none());
         assert!(timer.as_delivery().is_none());

@@ -20,10 +20,15 @@ use vd_simnet::time::SimDuration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupConfig {
-    /// How often each member multicasts a heartbeat carrying its ack vector.
+    /// How often the hosting process heartbeats each peer, carrying this
+    /// group's ack vector. A process hosting several groups uses the
+    /// tightest of their intervals for its one
+    /// [`crate::multi::MultiEndpoint`].
     pub heartbeat_interval: SimDuration,
     /// Silence longer than this marks a member as suspected (the paper's
-    /// fault-monitoring timeout knob).
+    /// fault-monitoring timeout knob): the floor of the process-level
+    /// detector's dead threshold, and the bound a stuck flush leader
+    /// re-checks its members against.
     pub failure_timeout: SimDuration,
     /// How often gaps are re-NACKed while missing.
     pub nack_interval: SimDuration,

@@ -2,12 +2,16 @@
 //!
 //! An [`Endpoint`] implements, sans-IO, the whole Spread-like protocol the
 //! paper's replicator consumes: reliable multicast with four delivery
-//! guarantees, heartbeat failure detection, stability-based garbage
-//! collection, and view-synchronous membership (see [`crate::flush`]).
+//! guarantees, stability-based garbage collection, and view-synchronous
+//! membership (see [`crate::flush`]).
 //!
 //! Hosts drive it with four calls — [`Endpoint::start`],
 //! [`Endpoint::multicast`], [`Endpoint::handle_message`],
 //! [`Endpoint::handle_timer`] — and perform the returned [`Output`]s.
+//! Liveness comes from outside: a [`crate::multi::MultiEndpoint`] runs the
+//! one failure detector per process pair, pushes heartbeat sections in via
+//! [`Endpoint::apply_heartbeat`] and suspicions via
+//! [`Endpoint::inject_suspicion`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -28,6 +32,7 @@ use crate::flush::{
 use crate::message::{
     fold_vclock, fold_view, Assignment, DataMsg, FlushHoldings, GroupId, GroupMsg,
 };
+use crate::multi::HeartbeatSection;
 use crate::order::DeliveryOrder;
 use crate::stream::SenderStream;
 use crate::vclock::VectorClock;
@@ -49,11 +54,6 @@ impl fmt::Display for MulticastError {
 }
 
 impl std::error::Error for MulticastError {}
-
-/// The per-group slice of a process-level heartbeat: the sender's view
-/// id, per-sender contiguous acks, and the delivered position in the
-/// agreed order.
-pub type HeartbeatSection = (ViewId, Arc<Vec<(ProcessId, u64)>>, u64);
 
 /// Membership status of the endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,8 +100,7 @@ impl DataPlaneStats {
         let msgs_per_frame = match msg {
             GroupMsg::Data(_) | GroupMsg::Retransmit(_) => 1,
             GroupMsg::DataBatch { msgs, .. } => msgs.len() as u64,
-            GroupMsg::Heartbeat { .. }
-            | GroupMsg::Nack { .. }
+            GroupMsg::Nack { .. }
             | GroupMsg::Assign { .. }
             | GroupMsg::AssignNack { .. }
             | GroupMsg::JoinRequest { .. }
@@ -127,12 +126,6 @@ pub struct Endpoint {
     config: GroupConfig,
     status: Status,
     view: View,
-    /// When `true`, liveness is tracked by a process-level failure detector
-    /// shared with co-located groups (see [`crate::multi`]): this endpoint
-    /// arms no heartbeat or failure-check timers of its own and instead
-    /// receives heartbeat sections via [`Endpoint::apply_heartbeat`] and
-    /// suspicions via [`Endpoint::inject_suspicion`].
-    external_fd: bool,
 
     // --- sending ---
     next_send_seq: u64,
@@ -225,7 +218,6 @@ impl Endpoint {
             config,
             status,
             view,
-            external_fd: false,
             next_send_seq: 0,
             causal_sends: 0,
             pending_sends: Vec::new(),
@@ -309,20 +301,6 @@ impl Endpoint {
         self.stats
     }
 
-    /// Hands liveness tracking to a process-level failure detector shared
-    /// between co-located groups ([`crate::multi::MultiEndpoint`]). Must be
-    /// called before [`Endpoint::start`]: the endpoint then arms no
-    /// heartbeat or failure-check timers and expects heartbeat sections and
-    /// suspicions to be pushed in from outside.
-    pub fn set_external_fd(&mut self) {
-        self.external_fd = true;
-    }
-
-    /// Whether a process-level failure detector drives this endpoint.
-    pub fn uses_external_fd(&self) -> bool {
-        self.external_fd
-    }
-
     // ---- process-level failure-detector hooks ------------------------------
 
     /// The per-group content of a heartbeat — per-sender contiguous acks and
@@ -333,34 +311,28 @@ impl Endpoint {
         if self.status != Status::Member {
             return None;
         }
-        Some((
-            self.view.id(),
-            Arc::new(
+        Some(HeartbeatSection {
+            group: self.group,
+            view_id: self.view.id(),
+            acks: Arc::new(
                 self.streams
                     .iter()
                     .map(|(&s, st)| (s, st.contiguous()))
                     .collect(),
             ),
-            self.next_global_deliver.saturating_sub(1),
-        ))
+            delivered_global: self.next_global_deliver.saturating_sub(1),
+        })
     }
 
     /// Applies one heartbeat section received by the process-level detector:
     /// refreshes liveness for `from` and runs the normal ack/stability path.
-    pub fn apply_heartbeat(
-        &mut self,
-        now: SimTime,
-        from: ProcessId,
-        view_id: ViewId,
-        acks: Arc<Vec<(ProcessId, u64)>>,
-        delivered_global: u64,
-    ) {
+    pub fn apply_heartbeat(&mut self, now: SimTime, from: ProcessId, section: &HeartbeatSection) {
         if self.status == Status::Evicted {
             return;
         }
         self.now_us = now.as_micros();
         self.last_heard.insert(from, now);
-        self.handle_heartbeat(from, view_id, acks, delivered_global);
+        self.handle_heartbeat(from, section);
     }
 
     /// Records a suspicion raised by the process-level failure detector:
@@ -405,23 +377,13 @@ impl Endpoint {
 
     // ---- lifecycle ---------------------------------------------------------
 
-    /// Arms the periodic timers (and, for a joining endpoint, sends the
+    /// Arms the periodic NACK retry (and, for a joining endpoint, sends the
     /// first join request). Call exactly once, when the host starts.
     pub fn start(&mut self, now: SimTime) -> Vec<Output> {
         self.now_us = now.as_micros();
         let mut out = Vec::new();
         for &m in self.view.members() {
             self.last_heard.insert(m, now);
-        }
-        if !self.external_fd {
-            out.push(Output::SetTimer {
-                delay: self.config.heartbeat_interval,
-                timer: GroupTimer::Heartbeat,
-            });
-            out.push(Output::SetTimer {
-                delay: self.config.heartbeat_interval,
-                timer: GroupTimer::FailureCheck,
-            });
         }
         out.push(Output::SetTimer {
             delay: self.config.nack_interval,
@@ -637,12 +599,6 @@ impl Endpoint {
                     self.handle_data(now, from, d.clone(), &mut out);
                 }
             }
-            GroupMsg::Heartbeat {
-                view_id,
-                acks,
-                delivered_global,
-                ..
-            } => self.handle_heartbeat(from, view_id, acks, delivered_global),
             GroupMsg::Nack {
                 sender, missing, ..
             } => self.handle_nack(from, sender, missing, &mut out),
@@ -869,26 +825,21 @@ impl Endpoint {
         }
     }
 
-    fn handle_heartbeat(
-        &mut self,
-        from: ProcessId,
-        view_id: ViewId,
-        acks: Arc<Vec<(ProcessId, u64)>>,
-        delivered_global: u64,
-    ) {
-        if view_id != self.view.id() || !self.view.contains(from) {
+    fn handle_heartbeat(&mut self, from: ProcessId, section: &HeartbeatSection) {
+        if section.view_id != self.view.id() || !self.view.contains(from) {
             return;
         }
-        self.obs.metrics.incr(Ctr::GroupHeartbeatsRecv);
         // A peer's acks reveal messages we may never have seen at all (tail
         // loss): record their existence so the NACK machinery recovers them.
-        for &(sender, acked) in acks.iter() {
+        for &(sender, acked) in section.acks.iter() {
             if sender != self.me {
                 self.streams.entry(sender).or_default().note_exists(acked);
             }
         }
-        self.peer_acks.insert(from, acks.iter().copied().collect());
-        self.peer_delivered_global.insert(from, delivered_global);
+        self.peer_acks
+            .insert(from, section.acks.iter().copied().collect());
+        self.peer_delivered_global
+            .insert(from, section.delivered_global);
         if self.blocked {
             // Never garbage-collect while a flush may need old messages.
             return;
@@ -1760,33 +1711,6 @@ impl Endpoint {
             return out;
         }
         match timer {
-            GroupTimer::Heartbeat => {
-                out.push(Output::SetTimer {
-                    delay: self.config.heartbeat_interval,
-                    timer: GroupTimer::Heartbeat,
-                });
-                if let Some((view_id, acks, delivered_global)) = self.heartbeat_section() {
-                    let msg = GroupMsg::Heartbeat {
-                        group: self.group,
-                        view_id,
-                        acks,
-                        delivered_global,
-                    };
-                    self.fan_out(&msg, &mut out);
-                    self.obs.metrics.incr(Ctr::GroupHeartbeatsSent);
-                    self.obs
-                        .emit(self.now_us, self.me.0, EventKind::HeartbeatSent);
-                }
-            }
-            GroupTimer::FailureCheck => {
-                out.push(Output::SetTimer {
-                    delay: self.config.heartbeat_interval,
-                    timer: GroupTimer::FailureCheck,
-                });
-                if self.status == Status::Member {
-                    self.check_failures(now, &mut out);
-                }
-            }
             GroupTimer::NackRetry => {
                 out.push(Output::SetTimer {
                     delay: self.config.nack_interval,
@@ -1824,6 +1748,11 @@ impl Endpoint {
         out
     }
 
+    /// The one fixed-timeout liveness check left in the endpoint: a stuck
+    /// flush leader re-checks its members' silence against
+    /// `config.failure_timeout` before re-driving the round (see
+    /// `flush_timeout`). All other suspicions come from the process-level
+    /// detector through [`Endpoint::inject_suspicion`].
     fn check_failures(&mut self, now: SimTime, out: &mut Vec<Output>) {
         let members: Vec<ProcessId> = self.view.members().to_vec();
         for m in members {
@@ -2085,7 +2014,6 @@ impl Endpoint {
             Status::Evicted => h.write_u8(2),
         }
         fold_view(&mut h, &self.view);
-        h.write_u8(u8::from(self.external_fd));
 
         h.write_u64(self.next_send_seq);
         h.write_u64(self.causal_sends);

@@ -6,8 +6,9 @@
 //!
 //! * **group membership** with agreed views and join/leave ([`view`],
 //!   [`endpoint`]),
-//! * **failure detection** via heartbeats with tunable interval and timeout
-//!   — the paper's fault-monitoring knobs ([`config`]),
+//! * **failure detection**: one adaptive heartbeat detector per process
+//!   pair ([`multi`], [`detector`]), whose interval and timeout are the
+//!   paper's fault-monitoring knobs ([`config`]),
 //! * **reliable multicast** with NACK-based retransmission and
 //!   stability-based garbage collection (the [`stream`] module),
 //! * the four Spread **delivery guarantees**: best effort, FIFO, causal and
@@ -18,8 +19,11 @@
 //!
 //! The protocol engine ([`endpoint::Endpoint`]) is *sans-IO*: it consumes
 //! timestamped inputs and returns explicit outputs, so it can be driven by
-//! the deterministic simulator ([`sim`]), by unit tests, or by property
-//! tests exploring adversarial schedules.
+//! unit tests or by property tests exploring adversarial schedules. Every
+//! running process hosts its endpoints in a [`multi::MultiEndpoint`] — one
+//! group or many — which adds the process-level failure detector. In the
+//! deterministic simulator, group-level tests host it in a
+//! [`sim::MultiGroupMemberActor`].
 //!
 //! # Examples
 //!
@@ -66,7 +70,7 @@ pub mod prelude {
         HeartbeatSection, MultiEndpoint, MultiOutput, MultiTimer, ProcessHeartbeat,
     };
     pub use crate::order::DeliveryOrder;
-    pub use crate::sim::{GroupMemberActor, MultiCommand, MultiGroupMemberActor};
+    pub use crate::sim::{MultiCommand, MultiGroupMemberActor};
     pub use crate::vclock::VectorClock;
     pub use crate::view::{View, ViewId};
 }

@@ -198,19 +198,6 @@ pub enum GroupMsg {
     },
     /// Application data retransmitted in response to a NACK.
     Retransmit(DataMsg),
-    /// Periodic liveness + acknowledgement vector (drives failure detection
-    /// and stability-based garbage collection).
-    Heartbeat {
-        /// Target group.
-        group: GroupId,
-        /// Sender's current view.
-        view_id: ViewId,
-        /// For each sender: highest contiguously-received sequence number.
-        /// Shared across the per-member heartbeat fan-out.
-        acks: Arc<Vec<(ProcessId, u64)>>,
-        /// The sender's delivered position in the agreed total order.
-        delivered_global: u64,
-    },
     /// Request to retransmit missing sequence numbers of `sender`'s stream.
     Nack {
         /// Target group.
@@ -311,7 +298,6 @@ impl GroupMsg {
         match self {
             GroupMsg::Data(d) | GroupMsg::Retransmit(d) => d.group,
             GroupMsg::DataBatch { group, .. }
-            | GroupMsg::Heartbeat { group, .. }
             | GroupMsg::Nack { group, .. }
             | GroupMsg::Assign { group, .. }
             | GroupMsg::AssignNack { group, .. }
@@ -333,7 +319,6 @@ impl Payload for GroupMsg {
             GroupMsg::DataBatch { msgs, .. } => {
                 HEADER_BYTES + msgs.iter().map(DataMsg::batched_wire_size).sum::<usize>()
             }
-            GroupMsg::Heartbeat { acks, .. } => HEADER_BYTES + acks.len() * PAIR_BYTES + 8,
             GroupMsg::Nack { missing, .. } => HEADER_BYTES + 8 + missing.len() * 8,
             GroupMsg::Assign { assignments, .. } => {
                 HEADER_BYTES + assignments.len() * (PAIR_BYTES + 8)
@@ -357,7 +342,8 @@ impl Payload for GroupMsg {
     // Content digest for interleaving exploration: two in-flight group
     // messages hash equal iff they are behaviorally interchangeable. Every
     // variant is covered exhaustively (enforced by the vd-check
-    // protocol-exhaustiveness lint) with a distinct tag byte.
+    // protocol-exhaustiveness lint) with a distinct tag byte. Tag 4 belonged
+    // to the retired per-group heartbeat and is not reused.
     fn digest(&self) -> Option<u64> {
         let mut h = Fnv64::new();
         match self {
@@ -375,21 +361,6 @@ impl Payload for GroupMsg {
             GroupMsg::Retransmit(d) => {
                 h.write_u8(3);
                 d.fold_digest(&mut h);
-            }
-            GroupMsg::Heartbeat {
-                group,
-                view_id,
-                acks,
-                delivered_global,
-            } => {
-                h.write_u8(4);
-                h.write_u64(u64::from(group.0));
-                h.write_u64(view_id.0);
-                for &(m, v) in acks.iter() {
-                    h.write_u64(m.0);
-                    h.write_u64(v);
-                }
-                h.write_u64(*delivered_global);
             }
             GroupMsg::Nack {
                 group,
@@ -541,11 +512,9 @@ mod tests {
                 group: g,
                 ..data(0, None)
             }),
-            GroupMsg::Heartbeat {
+            GroupMsg::DataBatch {
                 group: g,
-                view_id: ViewId(0),
-                acks: Arc::new(vec![]),
-                delivered_global: 0,
+                msgs: Arc::new(vec![]),
             },
             GroupMsg::Nack {
                 group: g,

@@ -11,9 +11,11 @@
 //! co-located group containing the silent peer.
 //!
 //! Everything group-scoped — views, ordering, vector clocks, batches,
-//! flushes — stays per-group inside the wrapped [`Endpoint`]s (created with
-//! [`Endpoint::set_external_fd`]). Like `Endpoint`, the multiplexer is
-//! sans-IO: hosts perform the returned [`MultiOutput`]s.
+//! flushes — stays per-group inside the wrapped [`Endpoint`]s. This is the
+//! only host of an `Endpoint` and the only failure detector: a process
+//! serving a single group runs a one-group `MultiEndpoint`. Like
+//! `Endpoint`, the multiplexer is sans-IO: hosts perform the returned
+//! [`MultiOutput`]s.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -32,8 +34,10 @@ use crate::message::{GroupId, GroupMsg, HEADER_BYTES, PAIR_BYTES};
 use crate::order::DeliveryOrder;
 use crate::view::ViewId;
 
-/// The per-group slice of a [`ProcessHeartbeat`]: the same acknowledgement
-/// vector and agreed-order position a single-group heartbeat carries.
+/// The per-group slice of a [`ProcessHeartbeat`]: the group's
+/// acknowledgement vector and agreed-order position, as reported by
+/// [`Endpoint::heartbeat_section`] and applied by
+/// [`Endpoint::apply_heartbeat`].
 #[derive(Debug, Clone)]
 pub struct HeartbeatSection {
     /// The group this section belongs to.
@@ -48,9 +52,8 @@ pub struct HeartbeatSection {
 }
 
 /// One process-level heartbeat frame: liveness for the process pair plus a
-/// section per shared group. Replaces N per-group [`GroupMsg::Heartbeat`]s
-/// with one frame, so heartbeat traffic does not scale with the number of
-/// co-located groups.
+/// section per shared group, so heartbeat traffic does not scale with the
+/// number of co-located groups.
 #[derive(Debug, Clone)]
 pub struct ProcessHeartbeat {
     /// One section per group the sender shares with the destination.
@@ -184,22 +187,21 @@ impl MultiEndpoint {
     }
 
     /// Attaches the process-level observability endpoint. Heartbeat
-    /// send/receive counters land here (once per round/frame, independent
-    /// of group count); per-group counters stay on each endpoint's handle.
+    /// counters land here and only here: `group.heartbeats_sent` once per
+    /// round, `group.heartbeats_recv` once per frame received, independent
+    /// of group count. Per-group counters stay on each endpoint's handle.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
 
-    /// Adds a group endpoint (must belong to this process). The endpoint is
-    /// switched to external failure detection; add every group before
-    /// calling [`MultiEndpoint::start`].
-    pub fn add_endpoint(&mut self, mut endpoint: Endpoint) {
+    /// Adds a group endpoint (must belong to this process). Add every group
+    /// before calling [`MultiEndpoint::start`].
+    pub fn add_endpoint(&mut self, endpoint: Endpoint) {
         debug_assert_eq!(
             endpoint.me(),
             self.me,
             "endpoint belongs to another process"
         );
-        endpoint.set_external_fd();
         self.groups.insert(endpoint.group(), endpoint);
     }
 
@@ -358,13 +360,7 @@ impl MultiEndpoint {
         self.obs.metrics.incr(Ctr::GroupHeartbeatsRecv);
         for section in &hb.sections {
             if let Some(ep) = self.groups.get_mut(&section.group) {
-                ep.apply_heartbeat(
-                    now,
-                    from,
-                    section.view_id,
-                    section.acks.clone(),
-                    section.delivered_global,
-                );
+                ep.apply_heartbeat(now, from, section);
             }
         }
     }
@@ -422,19 +418,14 @@ impl MultiEndpoint {
     fn heartbeat_round(&mut self, out: &mut Vec<MultiOutput>) {
         let mut per_peer: BTreeMap<ProcessId, Vec<HeartbeatSection>> = BTreeMap::new();
         let mut member_anywhere = false;
-        for (gid, ep) in &self.groups {
-            let Some((view_id, acks, delivered_global)) = ep.heartbeat_section() else {
+        for ep in self.groups.values() {
+            let Some(section) = ep.heartbeat_section() else {
                 continue;
             };
             member_anywhere = true;
             for &m in ep.view().members() {
                 if m != self.me {
-                    per_peer.entry(m).or_default().push(HeartbeatSection {
-                        group: *gid,
-                        view_id,
-                        acks: acks.clone(),
-                        delivered_global,
-                    });
+                    per_peer.entry(m).or_default().push(section.clone());
                 }
             }
         }

@@ -1,10 +1,11 @@
-//! Simulator adapter: hosts an [`Endpoint`] as a `vd-simnet` actor.
+//! Simulator adapter: hosts a [`MultiEndpoint`] as a `vd-simnet` actor.
 //!
-//! The adapter performs the endpoint's [`Output`]s — sending [`GroupMsg`]s
-//! through the simulated network, arming timers, and recording surfaced
-//! [`GroupEvent`]s for inspection. Higher layers (the replicator) embed
-//! [`Endpoint`] in their own actors instead; this adapter exists for tests,
-//! examples and group-level benchmarks.
+//! The adapter performs the multiplexer's [`MultiOutput`]s — sending
+//! [`GroupMsg`]s and process heartbeats through the simulated network,
+//! arming timers, and recording surfaced [`GroupEvent`]s for inspection.
+//! Higher layers (the replicator) embed [`MultiEndpoint`] in their own
+//! actors instead; [`MultiGroupMemberActor`] is the one simulator fixture
+//! for group-level tests and benchmarks, with one hosted group or many.
 
 use bytes::Bytes;
 
@@ -12,19 +13,18 @@ use vd_simnet::actor::{downcast_payload, Actor, Context, Payload, TimerToken};
 use vd_simnet::time::SimDuration;
 use vd_simnet::topology::ProcessId;
 
-use crate::api::{Delivery, GroupEvent, GroupTimer, Output};
-use crate::endpoint::Endpoint;
+use crate::api::{Delivery, GroupEvent, GroupTimer};
 use crate::message::{GroupId, GroupMsg};
 use crate::multi::{MultiEndpoint, MultiOutput, MultiTimer, ProcessHeartbeat};
 use crate::order::DeliveryOrder;
-use crate::transport::{perform_multi_outputs, perform_outputs, SimTransport};
-use crate::view::ViewId;
+use crate::transport::{perform_multi_outputs, SimTransport};
+use crate::view::{View, ViewId};
 
-/// Encodes a [`GroupTimer`] as a simulator timer token.
-pub fn timer_token(timer: GroupTimer) -> TimerToken {
+/// Encodes a [`GroupTimer`] as the low half of a simulator timer token.
+/// Tokens 1 and 2 belonged to the retired per-group heartbeat and failure
+/// check and are not reused.
+fn timer_token(timer: GroupTimer) -> TimerToken {
     match timer {
-        GroupTimer::Heartbeat => TimerToken(1),
-        GroupTimer::FailureCheck => TimerToken(2),
         GroupTimer::NackRetry => TimerToken(3),
         GroupTimer::JoinRetry => TimerToken(4),
         GroupTimer::BatchFlush => TimerToken(5),
@@ -35,10 +35,8 @@ pub fn timer_token(timer: GroupTimer) -> TimerToken {
 /// Decodes a simulator timer token back into a [`GroupTimer`].
 ///
 /// Returns `None` for tokens not produced by [`timer_token`].
-pub fn timer_from_token(token: TimerToken) -> Option<GroupTimer> {
+fn timer_from_token(token: TimerToken) -> Option<GroupTimer> {
     match token.0 {
-        1 => Some(GroupTimer::Heartbeat),
-        2 => Some(GroupTimer::FailureCheck),
         3 => Some(GroupTimer::NackRetry),
         4 => Some(GroupTimer::JoinRetry),
         5 => Some(GroupTimer::BatchFlush),
@@ -116,164 +114,6 @@ where
     });
 }
 
-/// Applies endpoint outputs through an actor context, invoking `on_event`
-/// for every surfaced event. Used by any actor embedding an [`Endpoint`].
-///
-/// Like [`apply_multi_outputs`], a thin wrapper over the transport seam.
-pub fn apply_outputs<F>(ctx: &mut Context<'_>, outputs: Vec<Output>, mut on_event: F)
-where
-    F: FnMut(&mut Context<'_>, GroupEvent),
-{
-    let mut transport = SimTransport::new(ctx);
-    perform_outputs(&mut transport, outputs, |t, event| on_event(t.ctx(), event));
-}
-
-/// Harness commands injected into a [`GroupMemberActor`] from outside the
-/// simulation (tests and examples).
-#[derive(Debug)]
-pub enum Command {
-    /// Multicast `payload` with the given guarantee.
-    Multicast {
-        /// Delivery guarantee.
-        order: DeliveryOrder,
-        /// Application bytes.
-        payload: Bytes,
-    },
-    /// Announce a graceful departure.
-    Leave,
-}
-
-impl Payload for Command {
-    fn wire_size(&self) -> usize {
-        match self {
-            Command::Multicast { payload, .. } => payload.len(),
-            Command::Leave => 8,
-        }
-    }
-
-    fn digest(&self) -> Option<u64> {
-        let mut h = vd_simnet::explore::Fnv64::new();
-        h.write_bytes(format!("{self:?}").as_bytes());
-        Some(h.finish())
-    }
-}
-
-/// A simulator actor hosting one group endpoint and recording everything it
-/// delivers — the standard fixture for group-level tests and benchmarks.
-pub struct GroupMemberActor {
-    endpoint: Endpoint,
-    /// Messages delivered to this member, in delivery order.
-    pub deliveries: Vec<Delivery>,
-    /// All surfaced events (deliveries included), in order.
-    pub events: Vec<GroupEvent>,
-}
-
-impl GroupMemberActor {
-    /// Wraps an endpoint.
-    pub fn new(endpoint: Endpoint) -> Self {
-        GroupMemberActor {
-            endpoint,
-            deliveries: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// The wrapped endpoint.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
-    }
-
-    /// Payloads delivered so far, as raw byte vectors (test convenience).
-    pub fn delivered_payloads(&self) -> Vec<Vec<u8>> {
-        self.deliveries.iter().map(|d| d.payload.to_vec()).collect()
-    }
-
-    /// The views installed so far, oldest first (test convenience).
-    pub fn installed_views(&self) -> Vec<crate::view::View> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                GroupEvent::ViewInstalled { view, .. } => Some(view.clone()),
-                GroupEvent::Delivered(_) | GroupEvent::Blocked | GroupEvent::SelfEvicted => None,
-            })
-            .collect()
-    }
-
-    fn absorb(&mut self, ctx: &mut Context<'_>, outputs: Vec<Output>) {
-        let mut events = Vec::new();
-        apply_outputs(ctx, outputs, |_ctx, event| events.push(event));
-        for event in events {
-            if let GroupEvent::Delivered(d) = &event {
-                self.deliveries.push(d.clone());
-            }
-            self.events.push(event);
-        }
-    }
-}
-
-impl Actor for GroupMemberActor {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let outputs = self.endpoint.start(ctx.now());
-        self.absorb(ctx, outputs);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, payload: Box<dyn Payload>) {
-        // Charge a small fixed processing cost per protocol message so group
-        // traffic occupies CPU, as a real daemon would.
-        ctx.use_cpu(SimDuration::from_micros(2));
-        match downcast_payload::<GroupMsg>(payload) {
-            Ok(msg) => {
-                let outputs = self.endpoint.handle_message(ctx.now(), from, *msg);
-                self.absorb(ctx, outputs);
-            }
-            Err(other) => {
-                if let Ok(cmd) = downcast_payload::<Command>(other) {
-                    let outputs = match *cmd {
-                        Command::Multicast { order, payload } => self
-                            .endpoint
-                            .multicast(ctx.now(), order, payload)
-                            .unwrap_or_default(),
-                        Command::Leave => self.endpoint.leave(ctx.now()),
-                    };
-                    self.absorb(ctx, outputs);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerToken) {
-        if let Some(t) = timer_from_token(timer) {
-            let outputs = self.endpoint.handle_timer(ctx.now(), t);
-            self.absorb(ctx, outputs);
-        }
-    }
-
-    fn state_digest(&self) -> Option<u64> {
-        let mut h = vd_simnet::explore::Fnv64::new();
-        h.write_u64(self.endpoint.state_digest());
-        // The recorded deliveries and events are what exploration
-        // invariants inspect, so they are part of the prunable state; their
-        // `Debug` form covers every field deterministically.
-        for d in &self.deliveries {
-            h.write_bytes(format!("{d:?}").as_bytes());
-        }
-        for e in &self.events {
-            h.write_bytes(format!("{e:?}").as_bytes());
-        }
-        Some(h.finish())
-    }
-}
-
-impl std::fmt::Debug for GroupMemberActor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupMemberActor")
-            .field("me", &self.endpoint.me())
-            .field("deliveries", &self.deliveries.len())
-            .field("events", &self.events.len())
-            .finish()
-    }
-}
-
 /// Harness commands injected into a [`MultiGroupMemberActor`].
 #[derive(Debug)]
 pub enum MultiCommand {
@@ -308,9 +148,10 @@ impl Payload for MultiCommand {
     }
 }
 
-/// A simulator actor hosting a [`MultiEndpoint`] (any number of co-located
-/// groups behind one process-level failure detector), recording everything
-/// delivered per group — the fixture for multi-group tests and benchmarks.
+/// A simulator actor hosting a [`MultiEndpoint`] (one group, or any number
+/// of co-located groups behind one process-level failure detector),
+/// recording everything delivered per group — the fixture for group-level
+/// tests and benchmarks.
 pub struct MultiGroupMemberActor {
     multi: MultiEndpoint,
     /// Messages delivered to this process, in delivery order (each carries
@@ -341,6 +182,18 @@ impl MultiGroupMemberActor {
             .iter()
             .filter(|d| d.group == group)
             .map(|d| d.payload.to_vec())
+            .collect()
+    }
+
+    /// The views installed in `group` so far, oldest first.
+    pub fn installed_views(&self, group: GroupId) -> Vec<View> {
+        self.events
+            .iter()
+            .filter(|(g, _)| *g == group)
+            .filter_map(|(_, e)| match e {
+                GroupEvent::ViewInstalled { view, .. } => Some(view.clone()),
+                GroupEvent::Delivered(_) | GroupEvent::Blocked | GroupEvent::SelfEvicted => None,
+            })
             .collect()
     }
 
@@ -431,8 +284,6 @@ mod tests {
     #[test]
     fn timer_tokens_round_trip() {
         for t in [
-            GroupTimer::Heartbeat,
-            GroupTimer::FailureCheck,
             GroupTimer::NackRetry,
             GroupTimer::JoinRetry,
             GroupTimer::BatchFlush,
@@ -442,6 +293,17 @@ mod tests {
             assert_eq!(timer_from_token(timer_token(t)), Some(t));
         }
         assert_eq!(timer_from_token(TimerToken(999)), None);
+        // The retired heartbeat and failure-check tokens decode as nothing.
+        assert_eq!(timer_from_token(TimerToken(1)), None);
+        assert_eq!(timer_from_token(TimerToken(2)), None);
+        // The surviving tokens keep their values.
+        assert_eq!(timer_token(GroupTimer::NackRetry), TimerToken(3));
+        assert_eq!(timer_token(GroupTimer::JoinRetry), TimerToken(4));
+        assert_eq!(timer_token(GroupTimer::BatchFlush), TimerToken(5));
+        assert_eq!(
+            timer_token(GroupTimer::FlushTimeout(ViewId(7))),
+            TimerToken(1_007)
+        );
     }
 
     #[test]
@@ -449,20 +311,20 @@ mod tests {
         for t in [
             MultiTimer::Heartbeat,
             MultiTimer::FailureCheck,
-            MultiTimer::Group(GroupId(0), GroupTimer::Heartbeat),
+            MultiTimer::Group(GroupId(0), GroupTimer::JoinRetry),
             MultiTimer::Group(GroupId(3), GroupTimer::NackRetry),
             MultiTimer::Group(GroupId(3), GroupTimer::BatchFlush),
             MultiTimer::Group(GroupId(7), GroupTimer::FlushTimeout(ViewId(42))),
-            MultiTimer::Group(GroupId(u32::MAX - 1), GroupTimer::FailureCheck),
+            MultiTimer::Group(GroupId(u32::MAX - 1), GroupTimer::NackRetry),
         ] {
             assert_eq!(multi_timer_from_token(multi_timer_token(t)), Some(t));
         }
         // Process-level tokens never collide with group-scoped ones.
         assert!(group_scoped_from_token(TimerToken(MULTI_HEARTBEAT_TOKEN)).is_none());
         assert!(group_scoped_from_token(TimerToken(MULTI_FAILURE_CHECK_TOKEN)).is_none());
-        // Legacy single-group tokens don't decode as multi timers either.
+        // Unstamped group-timer tokens don't decode as multi timers either.
         assert_eq!(
-            multi_timer_from_token(timer_token(GroupTimer::Heartbeat)),
+            multi_timer_from_token(timer_token(GroupTimer::NackRetry)),
             None
         );
     }

@@ -1,9 +1,9 @@
 //! The transport seam: how an endpoint's effects reach a network.
 //!
-//! [`crate::multi::MultiEndpoint`] (and the single-group
+//! [`crate::multi::MultiEndpoint`] (and each group's
 //! [`crate::endpoint::Endpoint`] underneath it) is sans-IO: protocol
-//! handlers return [`MultiOutput`]/[`Output`] effect lists and never touch
-//! a socket or a clock. The [`Transport`] trait is the contract a *host*
+//! handlers return [`MultiOutput`] effect lists and never touch a socket
+//! or a clock. The [`Transport`] trait is the contract a *host*
 //! fulfills to perform those effects — sending frames to a peer process,
 //! arming timers, and reporting the local clock and identity.
 //!
@@ -28,10 +28,10 @@ use vd_simnet::actor::{Context, Payload, TimerToken};
 use vd_simnet::time::{SimDuration, SimTime};
 use vd_simnet::topology::ProcessId;
 
-use crate::api::{GroupEvent, Output};
+use crate::api::GroupEvent;
 use crate::message::GroupId;
 use crate::multi::MultiOutput;
-use crate::sim::{multi_timer_token, timer_token};
+use crate::sim::multi_timer_token;
 
 /// What a host provides to run a group endpoint against a network: frame
 /// transmission, timers, a clock and the local peer identity.
@@ -129,28 +129,9 @@ where
     }
 }
 
-/// Performs single-endpoint outputs through a transport, invoking
-/// `on_event` for every surfaced event. The backend-independent core of
-/// [`crate::sim::apply_outputs`].
-pub fn perform_outputs<T, F>(transport: &mut T, outputs: Vec<Output>, mut on_event: F)
-where
-    T: Transport,
-    F: FnMut(&mut T, GroupEvent),
-{
-    for output in outputs {
-        match output {
-            Output::Send { to, msg } => transport.send_frame(to, Box::new(msg)),
-            Output::SetTimer { delay, timer } => transport.set_timer(delay, timer_token(timer)),
-            Output::Event(event) => on_event(transport, event),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
     use crate::message::GroupMsg;
     use crate::multi::MultiTimer;
 
@@ -186,11 +167,9 @@ mod tests {
             timers: Vec::new(),
             cancels: Vec::new(),
         };
-        let msg = GroupMsg::Heartbeat {
+        let msg = GroupMsg::FlushDone {
             group: GroupId(0),
-            view_id: crate::view::ViewId(0),
-            acks: Arc::new(vec![]),
-            delivered_global: 0,
+            proposal_id: crate::view::ViewId(0),
         };
         let outputs = vec![
             MultiOutput::Send {

@@ -1,6 +1,10 @@
 //! Direct sans-IO tests of [`Endpoint`]: drive the protocol engine with
 //! hand-crafted inputs and assert on its exact outputs, with no simulator
-//! in the loop — the testing style the sans-IO design exists for.
+//! in the loop — the testing style the sans-IO design exists for. Liveness
+//! tests drive the endpoint through the [`MultiEndpoint`] that hosts it,
+//! since the process-level detector is the only one.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -35,6 +39,19 @@ fn sends(outputs: &[Output]) -> Vec<(ProcessId, &GroupMsg)> {
         .collect()
 }
 
+/// Hosts `endpoint` as the only group of a one-group [`MultiEndpoint`]
+/// with the default fault-monitoring knobs.
+fn hosted(endpoint: Endpoint) -> MultiEndpoint {
+    let config = GroupConfig::default();
+    let mut multi = MultiEndpoint::new(
+        endpoint.me(),
+        config.heartbeat_interval,
+        config.failure_timeout,
+    );
+    multi.add_endpoint(endpoint);
+    multi
+}
+
 fn deliveries(outputs: &[Output]) -> Vec<Vec<u8>> {
     outputs
         .iter()
@@ -43,8 +60,10 @@ fn deliveries(outputs: &[Output]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Heartbeats and failure checks are the hosting [`MultiEndpoint`]'s
+/// timers; the endpoint itself only re-NACKs.
 #[test]
-fn start_arms_exactly_the_three_periodic_timers() {
+fn start_arms_only_the_nack_retry_timer() {
     let members = vec![p(1), p(2)];
     let mut a = Endpoint::bootstrap(p(1), GROUP, GroupConfig::default(), members);
     let outputs = a.start(SimTime::ZERO);
@@ -55,14 +74,7 @@ fn start_arms_exactly_the_three_periodic_timers() {
             _ => None,
         })
         .collect();
-    assert_eq!(
-        timers,
-        vec![
-            GroupTimer::Heartbeat,
-            GroupTimer::FailureCheck,
-            GroupTimer::NackRetry
-        ]
-    );
+    assert_eq!(timers, vec![GroupTimer::NackRetry]);
     // A bootstrap member sends nothing at start.
     assert!(sends(&outputs).is_empty());
 }
@@ -204,19 +216,28 @@ fn heartbeat_timer_broadcasts_acks() {
         sends(&outs)[0].1.clone()
     };
     let _ = a.handle_message(SimTime::ZERO, p(2), data);
-    let outputs = a.handle_timer(SimTime::from_millis(10), GroupTimer::Heartbeat);
-    let heartbeat = sends(&outputs)
-        .into_iter()
-        .find(|(to, m)| *to == p(2) && matches!(m, GroupMsg::Heartbeat { .. }))
+    let section = a.heartbeat_section().expect("a member reports a section");
+    assert!(section.acks.iter().any(|&(s, c)| s == p(2) && c == 1));
+    // The hosting process's heartbeat round carries that section to the
+    // peer…
+    let mut multi = hosted(a);
+    let outputs = multi.handle_timer(SimTime::from_millis(10), MultiTimer::Heartbeat);
+    let heartbeat = outputs
+        .iter()
+        .find_map(|o| match o {
+            MultiOutput::Heartbeat { to, msg } if *to == p(2) => Some(msg),
+            _ => None,
+        })
         .expect("heartbeat to the peer");
-    if let GroupMsg::Heartbeat { acks, .. } = heartbeat.1 {
-        assert!(acks.iter().any(|&(s, c)| s == p(2) && c == 1));
-    }
+    assert!(heartbeat
+        .sections
+        .iter()
+        .any(|sec| sec.group == GROUP && sec.acks.iter().any(|&(s, c)| s == p(2) && c == 1)));
     // And the timer re-arms itself.
     assert!(outputs.iter().any(|o| matches!(
         o,
-        Output::SetTimer {
-            timer: GroupTimer::Heartbeat,
+        MultiOutput::SetTimer {
+            timer: MultiTimer::Heartbeat,
             ..
         }
     )));
@@ -226,31 +247,42 @@ fn heartbeat_timer_broadcasts_acks() {
 fn silence_past_the_timeout_triggers_a_view_change_round() {
     let config = GroupConfig::default();
     let members = vec![p(1), p(2), p(3)];
-    let mut a = Endpoint::bootstrap(p(1), GROUP, config, members);
-    let _ = a.start(SimTime::ZERO);
+    let mut multi = hosted(Endpoint::bootstrap(p(1), GROUP, config, members));
+    let _ = multi.start(SimTime::ZERO);
     // Keep p(3) alive in the detector; p(2) stays silent past the timeout.
     let late = SimTime::ZERO + config.failure_timeout + config.failure_timeout;
-    let _ = a.handle_message(
+    multi.handle_heartbeat(
         late,
         p(3),
-        GroupMsg::Heartbeat {
-            group: GROUP,
-            view_id: ViewId(0),
-            acks: std::sync::Arc::new(vec![]),
-            delivered_global: 0,
+        &ProcessHeartbeat {
+            sections: vec![HeartbeatSection {
+                group: GROUP,
+                view_id: ViewId(0),
+                acks: Arc::new(vec![]),
+                delivered_global: 0,
+            }],
         },
     );
-    let outputs = a.handle_timer(late, GroupTimer::FailureCheck);
+    let outputs = multi.handle_timer(late, MultiTimer::FailureCheck);
     // The coordinator (a) starts a flush: proposal broadcast + Blocked event.
     assert!(
-        sends(&outputs)
-            .iter()
-            .any(|(_, m)| matches!(m, GroupMsg::ViewProposal { .. })),
+        outputs.iter().any(|o| matches!(
+            o,
+            MultiOutput::Send {
+                msg: GroupMsg::ViewProposal { .. },
+                ..
+            }
+        )),
         "no proposal in {outputs:?}"
     );
-    assert!(outputs
-        .iter()
-        .any(|o| matches!(o.as_event(), Some(GroupEvent::Blocked))));
+    assert!(outputs.iter().any(|o| matches!(
+        o,
+        MultiOutput::Event {
+            event: GroupEvent::Blocked,
+            ..
+        }
+    )));
+    let a = multi.group(GROUP).expect("hosted group");
     assert!(a.suspected().any(|m| m == p(2)));
 }
 
@@ -260,17 +292,21 @@ fn singleton_flush_completes_entirely_locally() {
     // proposal → cut → install with no one to talk to, ending unblocked in
     // a singleton view.
     let config = GroupConfig::default();
-    let mut a = Endpoint::bootstrap(p(1), GROUP, config, vec![p(1), p(2)]);
-    let _ = a.start(SimTime::ZERO);
+    let mut multi = hosted(Endpoint::bootstrap(p(1), GROUP, config, vec![p(1), p(2)]));
+    let _ = multi.start(SimTime::ZERO);
     let late = SimTime::ZERO + config.failure_timeout + config.failure_timeout;
-    let outputs = a.handle_timer(late, GroupTimer::FailureCheck);
+    let outputs = multi.handle_timer(late, MultiTimer::FailureCheck);
     let installed = outputs.iter().any(|o| {
         matches!(
-            o.as_event(),
-            Some(GroupEvent::ViewInstalled { view, .. }) if view.members() == [p(1)]
+            o,
+            MultiOutput::Event {
+                event: GroupEvent::ViewInstalled { view, .. },
+                ..
+            } if view.members() == [p(1)]
         )
     });
     assert!(installed, "singleton view not installed: {outputs:?}");
+    let a = multi.group(GROUP).expect("hosted group");
     assert!(!a.is_blocked());
     assert_eq!(a.view().members(), &[p(1)]);
 }

@@ -1,6 +1,8 @@
 //! Edge-case tests for the group-communication protocol: joins under
 //! message loss, cascading crashes, concurrent join+crash, shrink to a
-//! singleton and regrow, and fault-monitoring knob behavior.
+//! singleton and regrow, and fault-monitoring knob behavior. Each member
+//! hosts its endpoint in a one-group [`MultiEndpoint`], as every deployed
+//! process does.
 
 use bytes::Bytes;
 
@@ -18,12 +20,37 @@ fn lan(n: u32) -> Topology {
     topo
 }
 
+/// Hosts `endpoint` as the only group of a one-group [`MultiEndpoint`].
+fn host(endpoint: Endpoint, config: GroupConfig) -> Box<MultiGroupMemberActor> {
+    let mut multi = MultiEndpoint::new(
+        endpoint.me(),
+        config.heartbeat_interval,
+        config.failure_timeout,
+    );
+    multi.add_endpoint(endpoint);
+    Box::new(MultiGroupMemberActor::new(multi))
+}
+
+fn actor_of(world: &World, pid: ProcessId) -> &MultiGroupMemberActor {
+    world
+        .actor_ref::<MultiGroupMemberActor>(pid)
+        .expect("member exists")
+}
+
+/// The endpoint `pid` hosts for [`GROUP`].
+fn endpoint_of(world: &World, pid: ProcessId) -> &Endpoint {
+    actor_of(world, pid)
+        .multi()
+        .group(GROUP)
+        .expect("hosted group")
+}
+
 fn spawn_bootstrap(world: &mut World, n: u32, config: GroupConfig) -> Vec<ProcessId> {
     let members: Vec<ProcessId> = (0..n as u64).map(ProcessId).collect();
     (0..n)
         .map(|i| {
             let ep = Endpoint::bootstrap(ProcessId(i as u64), GROUP, config, members.clone());
-            world.spawn(NodeId(i), Box::new(GroupMemberActor::new(ep)))
+            world.spawn(NodeId(i), host(ep, config))
         })
         .collect()
 }
@@ -31,7 +58,8 @@ fn spawn_bootstrap(world: &mut World, n: u32, config: GroupConfig) -> Vec<Proces
 fn multicast(world: &mut World, from: ProcessId, payload: &[u8]) {
     world.inject(
         from,
-        vd_group::sim::Command::Multicast {
+        MultiCommand::Multicast {
+            group: GROUP,
             order: DeliveryOrder::Agreed,
             payload: Bytes::copy_from_slice(payload),
         },
@@ -50,13 +78,13 @@ fn join_succeeds_under_message_loss() {
         GroupConfig::default(),
         vec![pids[0], pids[1]],
     );
-    let joiner = world.spawn(NodeId(3), Box::new(GroupMemberActor::new(joiner_ep)));
+    let joiner = world.spawn(NodeId(3), host(joiner_ep, GroupConfig::default()));
     world.run_for(SimDuration::from_secs(3));
     world.set_drop_probability(0.0);
     world.run_for(SimDuration::from_secs(1));
-    let j = world.actor_ref::<GroupMemberActor>(joiner).unwrap();
-    assert!(j.endpoint().is_member(), "join never completed under loss");
-    assert_eq!(j.endpoint().view().len(), 4);
+    let j = endpoint_of(&world, joiner);
+    assert!(j.is_member(), "join never completed under loss");
+    assert_eq!(j.view().len(), 4);
 }
 
 #[test]
@@ -71,21 +99,18 @@ fn cascading_crashes_shrink_to_a_working_singleton() {
     world.crash_process_at(pids[1], SimTime::from_millis(90));
     world.crash_process_at(pids[2], SimTime::from_millis(160));
     world.run_for(SimDuration::from_secs(3));
-    let survivor = world.actor_ref::<GroupMemberActor>(pids[3]).unwrap();
+    let survivor = endpoint_of(&world, pids[3]);
     assert_eq!(
-        survivor.endpoint().view().members(),
+        survivor.view().members(),
         &[pids[3]],
         "survivor view: {}",
-        survivor.endpoint().view()
+        survivor.view()
     );
-    assert!(
-        !survivor.endpoint().is_blocked(),
-        "survivor stuck in a flush"
-    );
+    assert!(!survivor.is_blocked(), "survivor stuck in a flush");
     // A singleton group still self-delivers.
     multicast(&mut world, pids[3], b"alone");
     world.run_for(SimDuration::from_millis(50));
-    let survivor = world.actor_ref::<GroupMemberActor>(pids[3]).unwrap();
+    let survivor = actor_of(&world, pids[3]);
     assert!(survivor
         .deliveries
         .iter()
@@ -101,22 +126,21 @@ fn singleton_group_accepts_a_joiner_and_regrows() {
         GroupConfig::default(),
         vec![ProcessId(0)],
     );
-    let solo = world.spawn(NodeId(0), Box::new(GroupMemberActor::new(solo_ep)));
+    let solo = world.spawn(NodeId(0), host(solo_ep, GroupConfig::default()));
     world.run_for(SimDuration::from_millis(5));
     multicast(&mut world, solo, b"solo");
     world.run_for(SimDuration::from_millis(10));
 
     let joiner_ep = Endpoint::joining(ProcessId(1), GROUP, GroupConfig::default(), vec![solo]);
-    let joiner = world.spawn(NodeId(1), Box::new(GroupMemberActor::new(joiner_ep)));
+    let joiner = world.spawn(NodeId(1), host(joiner_ep, GroupConfig::default()));
     world.run_for(SimDuration::from_secs(1));
     for pid in [solo, joiner] {
-        let m = world.actor_ref::<GroupMemberActor>(pid).unwrap();
-        assert_eq!(m.endpoint().view().len(), 2, "member {pid}");
+        assert_eq!(endpoint_of(&world, pid).view().len(), 2, "member {pid}");
     }
     // Two-way traffic in the regrown group.
     multicast(&mut world, joiner, b"hello-from-joiner");
     world.run_for(SimDuration::from_millis(50));
-    let m = world.actor_ref::<GroupMemberActor>(solo).unwrap();
+    let m = actor_of(&world, solo);
     assert!(m
         .deliveries
         .iter()
@@ -131,16 +155,16 @@ fn join_concurrent_with_crash_converges() {
     // A member crashes at the same moment a joiner shows up.
     world.crash_process_at(pids[2], SimTime::from_millis(10));
     let joiner_ep = Endpoint::joining(ProcessId(3), GROUP, GroupConfig::default(), vec![pids[0]]);
-    let joiner = world.spawn(NodeId(3), Box::new(GroupMemberActor::new(joiner_ep)));
+    let joiner = world.spawn(NodeId(3), host(joiner_ep, GroupConfig::default()));
     world.run_for(SimDuration::from_secs(3));
     // Everyone alive converges on {0, 1, joiner}.
     for pid in [pids[0], pids[1], joiner] {
-        let m = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        let m = endpoint_of(&world, pid);
         assert_eq!(
-            m.endpoint().view().members(),
+            m.view().members(),
             &[pids[0], pids[1], joiner],
             "member {pid}: {}",
-            m.endpoint().view()
+            m.view()
         );
     }
 }
@@ -160,8 +184,7 @@ fn shorter_failure_timeout_detects_faster() {
         let deadline = SimTime::from_secs(5);
         loop {
             world.run_for(SimDuration::from_millis(1));
-            let m = world.actor_ref::<GroupMemberActor>(pids[0]).unwrap();
-            if m.endpoint().view().len() == 2 {
+            if endpoint_of(&world, pids[0]).view().len() == 2 {
                 return world.now().duration_since(crash_at).as_micros() / 1000;
             }
             assert!(world.now() < deadline, "view never shrank");
@@ -189,7 +212,8 @@ fn causal_and_agreed_coexist_in_one_group() {
         };
         world.inject(
             pids[(i % 3) as usize],
-            vd_group::sim::Command::Multicast {
+            MultiCommand::Multicast {
+                group: GROUP,
                 order,
                 payload: Bytes::copy_from_slice(&i.to_be_bytes()),
             },
@@ -198,14 +222,12 @@ fn causal_and_agreed_coexist_in_one_group() {
     }
     world.run_for(SimDuration::from_millis(200));
     for &pid in &pids {
-        let m = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        let m = actor_of(&world, pid);
         assert_eq!(m.deliveries.len(), 10, "member {pid} lost messages");
         // Agreed sub-transcripts agree across members.
     }
     let agreed = |pid: ProcessId| -> Vec<Vec<u8>> {
-        world
-            .actor_ref::<GroupMemberActor>(pid)
-            .unwrap()
+        actor_of(&world, pid)
             .deliveries
             .iter()
             .filter(|d| d.order == DeliveryOrder::Agreed)

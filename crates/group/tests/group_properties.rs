@@ -79,8 +79,9 @@ fn vclock_domination_is_a_partial_order() {
 }
 
 /// Runs a 3-member group under the given loss probability; `crash_at_ms`
-/// optionally kills one member mid-run. Returns each survivor's agreed-
-/// order transcript.
+/// optionally kills one member mid-run. Each member hosts its endpoint in
+/// a one-group [`MultiEndpoint`]. Returns each survivor's agreed-order
+/// transcript.
 fn run_group(
     seed: u64,
     loss: f64,
@@ -94,14 +95,12 @@ fn run_group(
     )));
     let mut world = World::new(topo, seed);
     let members: Vec<ProcessId> = (0..3u64).map(ProcessId).collect();
+    let config = GroupConfig::default();
     for i in 0..3u32 {
-        let ep = Endpoint::bootstrap(
-            ProcessId(i as u64),
-            GroupId(0),
-            GroupConfig::default(),
-            members.clone(),
-        );
-        world.spawn(NodeId(i), Box::new(GroupMemberActor::new(ep)));
+        let me = ProcessId(i as u64);
+        let mut multi = MultiEndpoint::new(me, config.heartbeat_interval, config.failure_timeout);
+        multi.add_endpoint(Endpoint::bootstrap(me, GroupId(0), config, members.clone()));
+        world.spawn(NodeId(i), Box::new(MultiGroupMemberActor::new(multi)));
     }
     world.run_for(SimDuration::from_millis(5));
     world.set_drop_probability(loss);
@@ -112,7 +111,8 @@ fn run_group(
         let sender = ProcessId((i % 3) as u64);
         world.inject(
             sender,
-            vd_group::sim::Command::Multicast {
+            MultiCommand::Multicast {
+                group: GroupId(0),
                 order: DeliveryOrder::Agreed,
                 payload: Bytes::copy_from_slice(&i.to_be_bytes()),
             },
@@ -127,7 +127,7 @@ fn run_group(
         if !world.is_alive(pid) {
             continue;
         }
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        let actor = world.actor_ref::<MultiGroupMemberActor>(pid).unwrap();
         transcripts.push(
             actor
                 .deliveries

@@ -1,6 +1,8 @@
 //! End-to-end tests of the group-communication protocol running inside the
 //! deterministic simulator: ordering guarantees, reliability under loss,
-//! virtual synchrony across crashes, joins and graceful leaves.
+//! virtual synchrony across crashes, joins and graceful leaves. Every
+//! member runs the deployed stack: its endpoint hosted in a
+//! [`MultiEndpoint`] behind the process-level failure detector.
 
 use bytes::Bytes;
 
@@ -9,6 +11,31 @@ use vd_simnet::prelude::*;
 
 const GROUP: GroupId = GroupId(7);
 
+/// Hosts `endpoint` as the only group of a one-group [`MultiEndpoint`].
+fn host(endpoint: Endpoint, config: GroupConfig) -> Box<MultiGroupMemberActor> {
+    let mut multi = MultiEndpoint::new(
+        endpoint.me(),
+        config.heartbeat_interval,
+        config.failure_timeout,
+    );
+    multi.add_endpoint(endpoint);
+    Box::new(MultiGroupMemberActor::new(multi))
+}
+
+fn actor_of(world: &World, pid: ProcessId) -> &MultiGroupMemberActor {
+    world
+        .actor_ref::<MultiGroupMemberActor>(pid)
+        .expect("member exists")
+}
+
+/// The endpoint `pid` hosts for [`GROUP`].
+fn endpoint_of(world: &World, pid: ProcessId) -> &Endpoint {
+    actor_of(world, pid)
+        .multi()
+        .group(GROUP)
+        .expect("hosted group")
+}
+
 /// Spawns `n` group members (one per node) bootstrapped into a common view.
 /// Process ids are assigned sequentially from zero by the world.
 fn spawn_group(world: &mut World, n: u32, config: GroupConfig) -> Vec<ProcessId> {
@@ -16,7 +43,7 @@ fn spawn_group(world: &mut World, n: u32, config: GroupConfig) -> Vec<ProcessId>
     let mut pids = Vec::new();
     for i in 0..n {
         let endpoint = Endpoint::bootstrap(ProcessId(i as u64), GROUP, config, members.clone());
-        let pid = world.spawn(NodeId(i), Box::new(GroupMemberActor::new(endpoint)));
+        let pid = world.spawn(NodeId(i), host(endpoint, config));
         assert_eq!(pid, ProcessId(i as u64), "sequential pid assumption");
         pids.push(pid);
     }
@@ -35,7 +62,8 @@ fn lan_topology(n: u32) -> Topology {
 fn multicast(world: &mut World, member: ProcessId, order: DeliveryOrder, payload: &[u8]) {
     world.inject(
         member,
-        vd_group::sim::Command::Multicast {
+        MultiCommand::Multicast {
+            group: GROUP,
             order,
             payload: Bytes::copy_from_slice(payload),
         },
@@ -43,9 +71,7 @@ fn multicast(world: &mut World, member: ProcessId, order: DeliveryOrder, payload
 }
 
 fn deliveries_of(world: &World, pid: ProcessId) -> Vec<(ProcessId, Vec<u8>)> {
-    world
-        .actor_ref::<GroupMemberActor>(pid)
-        .expect("member exists")
+    actor_of(world, pid)
         .deliveries
         .iter()
         .map(|d| (d.sender, d.payload.to_vec()))
@@ -96,9 +122,7 @@ fn agreed_messages_deliver_in_identical_total_order() {
         );
     }
     // Global sequence numbers are contiguous from 1.
-    let globals: Vec<u64> = world
-        .actor_ref::<GroupMemberActor>(pids[0])
-        .unwrap()
+    let globals: Vec<u64> = actor_of(&world, pids[0])
         .deliveries
         .iter()
         .map(|d| d.global_seq.expect("agreed messages carry a global seq"))
@@ -177,9 +201,7 @@ fn reliable_classes_survive_heavy_message_loss() {
     }
     // Agreed order still agrees.
     let agreed = |pid| -> Vec<Vec<u8>> {
-        world
-            .actor_ref::<GroupMemberActor>(pid)
-            .unwrap()
+        actor_of(&world, pid)
             .deliveries
             .iter()
             .filter(|d| d.order == DeliveryOrder::Agreed)
@@ -219,10 +241,7 @@ fn crash_triggers_view_change_and_service_continues() {
     world.run_for(SimDuration::from_millis(300));
 
     for &pid in &pids[..2] {
-        let views = world
-            .actor_ref::<GroupMemberActor>(pid)
-            .unwrap()
-            .installed_views();
+        let views = actor_of(&world, pid).installed_views(GROUP);
         let last = views.last().expect("a new view installed");
         assert_eq!(last.members(), &[pids[0], pids[1]], "member {pid}");
     }
@@ -264,10 +283,7 @@ fn sequencer_crash_preserves_and_continues_the_total_order() {
         assert_eq!(deliveries_of(&world, pid), reference, "member {pid}");
     }
     for &pid in &pids[1..] {
-        let views = world
-            .actor_ref::<GroupMemberActor>(pid)
-            .unwrap()
-            .installed_views();
+        let views = actor_of(&world, pid).installed_views(GROUP);
         assert!(
             views.last().is_some_and(|v| !v.contains(pids[0])),
             "member {pid} still believes the sequencer is alive"
@@ -294,9 +310,9 @@ fn virtual_synchrony_survivors_deliver_identical_prefix_before_view_change() {
     // exactly (virtual synchrony), and both survivors must have installed
     // the same view.
     let prefix = |pid: ProcessId| -> (Vec<Vec<u8>>, Option<View>) {
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        let actor = actor_of(&world, pid);
         let mut delivered = Vec::new();
-        for event in &actor.events {
+        for (_, event) in &actor.events {
             match event {
                 GroupEvent::Delivered(d) => delivered.push(d.payload.to_vec()),
                 GroupEvent::ViewInstalled { view, .. } => return (delivered, Some(view.clone())),
@@ -326,7 +342,7 @@ fn join_installs_view_and_newcomer_receives_subsequent_traffic() {
             GroupConfig::default(),
             members.clone(),
         );
-        world.spawn(NodeId(i), Box::new(GroupMemberActor::new(ep)));
+        world.spawn(NodeId(i), host(ep, GroupConfig::default()));
     }
     world.run_for(SimDuration::from_millis(5));
     multicast(&mut world, ProcessId(0), DeliveryOrder::Agreed, b"old-news");
@@ -338,15 +354,14 @@ fn join_installs_view_and_newcomer_receives_subsequent_traffic() {
         GroupConfig::default(),
         vec![ProcessId(0)],
     );
-    let joiner = world.spawn(NodeId(2), Box::new(GroupMemberActor::new(joiner_ep)));
+    let joiner = world.spawn(NodeId(2), host(joiner_ep, GroupConfig::default()));
     assert_eq!(joiner, ProcessId(2));
     world.run_for(SimDuration::from_millis(300));
 
     // Everyone (including the joiner) sits in a 3-member view.
     for pid in [ProcessId(0), ProcessId(1), ProcessId(2)] {
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
         assert_eq!(
-            actor.endpoint().view().members(),
+            endpoint_of(&world, pid).view().members(),
             &[ProcessId(0), ProcessId(1), ProcessId(2)],
             "member {pid}"
         );
@@ -364,20 +379,22 @@ fn graceful_leave_evicts_self_and_shrinks_view() {
     let mut world = World::new(lan_topology(3), 10);
     let pids = spawn_group(&mut world, 3, GroupConfig::default());
     world.run_for(SimDuration::from_millis(5));
-    world.inject(pids[2], vd_group::sim::Command::Leave);
+    world.inject(pids[2], MultiCommand::Leave { group: GROUP });
     world.run_for(SimDuration::from_millis(300));
 
-    let leaver = world.actor_ref::<GroupMemberActor>(pids[2]).unwrap();
+    let leaver = actor_of(&world, pids[2]);
     assert!(
         leaver
             .events
             .iter()
-            .any(|e| matches!(e, GroupEvent::SelfEvicted)),
+            .any(|(_, e)| matches!(e, GroupEvent::SelfEvicted)),
         "leaver never saw SelfEvicted"
     );
     for &pid in &pids[..2] {
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
-        assert_eq!(actor.endpoint().view().members(), &[pids[0], pids[1]]);
+        assert_eq!(
+            endpoint_of(&world, pid).view().members(),
+            &[pids[0], pids[1]]
+        );
     }
 }
 
@@ -413,13 +430,13 @@ fn coordinator_crash_during_flush_is_survived() {
     world.run_for(SimDuration::from_millis(800));
 
     for &pid in &pids[1..3] {
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
+        let endpoint = endpoint_of(&world, pid);
         assert_eq!(
-            actor.endpoint().view().members(),
+            endpoint.view().members(),
             &[pids[1], pids[2]],
             "member {pid} did not converge after leader crash mid-flush"
         );
-        assert!(!actor.endpoint().is_blocked(), "member {pid} stuck blocked");
+        assert!(!endpoint.is_blocked(), "member {pid} stuck blocked");
     }
     // And the group still works.
     multicast(&mut world, pids[1], DeliveryOrder::Agreed, b"alive");
@@ -441,19 +458,21 @@ fn minority_below_min_view_self_evicts_instead_of_rump_group() {
     world.partition_at(vec![NodeId(0)], vec![NodeId(1), NodeId(2)], world.now());
     world.run_for(SimDuration::from_millis(400));
 
-    let lone = world.actor_ref::<GroupMemberActor>(pids[0]).unwrap();
+    let lone = actor_of(&world, pids[0]);
     assert!(
         lone.events
             .iter()
-            .any(|e| matches!(e, GroupEvent::SelfEvicted)),
+            .any(|(_, e)| matches!(e, GroupEvent::SelfEvicted)),
         "cut-off member never self-evicted"
     );
-    assert!(!lone.endpoint().is_member());
+    assert!(!endpoint_of(&world, pids[0]).is_member());
 
     // The majority side converged on a two-member view and still works.
     for &pid in &pids[1..] {
-        let actor = world.actor_ref::<GroupMemberActor>(pid).unwrap();
-        assert_eq!(actor.endpoint().view().members(), &[pids[1], pids[2]]);
+        assert_eq!(
+            endpoint_of(&world, pid).view().members(),
+            &[pids[1], pids[2]]
+        );
     }
     multicast(&mut world, pids[1], DeliveryOrder::Agreed, b"after-cut");
     world.run_for(SimDuration::from_millis(50));
@@ -512,10 +531,7 @@ fn multi_multicast(
 }
 
 fn multi_deliveries_of(world: &World, pid: ProcessId, group: GroupId) -> Vec<Vec<u8>> {
-    world
-        .actor_ref::<MultiGroupMemberActor>(pid)
-        .expect("member exists")
-        .delivered_payloads(group)
+    actor_of(world, pid).delivered_payloads(group)
 }
 
 /// Satellite regression: heartbeat traffic is per process pair, not per

@@ -303,6 +303,7 @@ fn get_assignments(dec: &mut Decoder) -> Result<Vec<Assignment>, DecodeError> {
 fn put_group_msg(enc: &mut Encoder, msg: &GroupMsg) {
     // Variant tags deliberately match the digest tags in
     // `vd-group/src/message.rs` so the two enumerations stay in lockstep.
+    // Tag 4 belonged to the retired per-group heartbeat and is not reused.
     match msg {
         GroupMsg::Data(d) => {
             enc.put_u8(1);
@@ -319,18 +320,6 @@ fn put_group_msg(enc: &mut Encoder, msg: &GroupMsg) {
         GroupMsg::Retransmit(d) => {
             enc.put_u8(3);
             put_data_msg(enc, d);
-        }
-        GroupMsg::Heartbeat {
-            group,
-            view_id,
-            acks,
-            delivered_global,
-        } => {
-            enc.put_u8(4);
-            enc.put_u32(group.0);
-            enc.put_u64(view_id.0);
-            put_pairs(enc, acks);
-            enc.put_u64(*delivered_global);
         }
         GroupMsg::Nack {
             group,
@@ -452,12 +441,6 @@ fn get_group_msg(dec: &mut Decoder) -> Result<GroupMsg, DecodeError> {
             })
         }
         3 => Ok(GroupMsg::Retransmit(get_data_msg(dec)?)),
-        4 => Ok(GroupMsg::Heartbeat {
-            group: GroupId(dec.get_u32()?),
-            view_id: ViewId(dec.get_u64()?),
-            acks: Arc::new(get_pairs(dec)?),
-            delivered_global: dec.get_u64()?,
-        }),
         5 => {
             let group = GroupId(dec.get_u32()?);
             let sender = ProcessId(dec.get_u64()?);
@@ -714,12 +697,6 @@ mod tests {
                 ]),
             },
             GroupMsg::Retransmit(sample_data(None, DeliveryOrder::BestEffort, false)),
-            GroupMsg::Heartbeat {
-                group: GroupId(5),
-                view_id: ViewId(3),
-                acks: Arc::new(vec![(ProcessId(1), 7), (ProcessId(2), 9)]),
-                delivered_global: 22,
-            },
             GroupMsg::Nack {
                 group: GroupId(5),
                 sender: ProcessId(2),
@@ -852,8 +829,26 @@ mod tests {
     fn simulator_only_payloads_are_refused() {
         // Harness commands exist only inside the simulator; the real
         // transport refuses them instead of inventing a wire format.
-        let cmd = vd_group::sim::Command::Leave;
+        let cmd = vd_group::sim::MultiCommand::Leave { group: GroupId(1) };
         assert!(encode_frame(ProcessId(1), ProcessId(2), &cmd).is_none());
+    }
+
+    #[test]
+    fn retired_group_heartbeat_tag_is_rejected() {
+        let msg = GroupMsg::FlushDone {
+            group: GroupId(0),
+            proposal_id: ViewId(1),
+        };
+        let bytes = match encode_frame(ProcessId(1), ProcessId(2), &msg) {
+            Some(b) => b,
+            None => panic!("group messages encode"),
+        };
+        // Magic, destination and source, then the payload kind: the group
+        // message's variant tag follows at byte 21.
+        let mut retagged = bytes.to_vec();
+        assert_eq!(retagged[21], 13, "FlushDone tag");
+        retagged[21] = 4;
+        assert!(decode_frame(Bytes::from(retagged)).is_err());
     }
 
     #[test]

@@ -46,6 +46,8 @@ use std::path::PathBuf;
 use bytes::Bytes;
 use vd_core::state::{InvokeResult, ReplicatedApplication};
 use vd_core::style::ReplicationStyle;
+use vd_group::config::GroupConfig;
+use vd_simnet::time::SimDuration;
 
 /// A parsed node configuration.
 #[derive(Debug, Clone)]
@@ -107,6 +109,21 @@ pub struct GroupSpec {
     /// the heartbeat interval). Sets the fault-detection latency, and
     /// with it the availability column of the paper's Table 1.
     pub failure_timeout_ms: Option<u64>,
+}
+
+impl GroupSpec {
+    /// The group-layer tuning this group's replicas run with: the
+    /// defaults plus this spec's fault-monitoring overrides.
+    pub(crate) fn group_config(&self) -> GroupConfig {
+        let mut config = GroupConfig::default();
+        if let Some(hb) = self.heartbeat_ms {
+            config.heartbeat_interval = SimDuration::from_millis(hb);
+        }
+        if let Some(timeout) = self.failure_timeout_ms {
+            config.failure_timeout = SimDuration::from_millis(timeout);
+        }
+        config
+    }
 }
 
 /// Built-in replicated servants selectable from config.
@@ -354,8 +371,33 @@ fn get_str(section: &Section, key: &'static str) -> Result<String, ConfigError> 
     }
 }
 
+/// An optional millisecond count: absent, or a non-negative integer whose
+/// microsecond value fits the clock.
+fn get_millis(section: &Section, key: &'static str) -> Result<Option<u64>, ConfigError> {
+    let Some(value) = section.values.get(key) else {
+        return Ok(None);
+    };
+    let millis = match value {
+        TomlValue::Int(n) => u64::try_from(*n)
+            .ok()
+            .filter(|ms| ms.checked_mul(1_000).is_some()),
+        _ => None,
+    };
+    millis.map(Some).ok_or_else(|| ConfigError::Invalid {
+        what: key,
+        value: format!("{value:?}"),
+    })
+}
+
 impl NodeConfig {
     /// Parses a config from TOML text.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] on malformed text, a missing required key, or an
+    /// unacceptable value — including a group whose fault-monitoring
+    /// settings (defaults plus `heartbeat_ms`/`failure_timeout_ms`)
+    /// fail [`GroupConfig::validate`].
     pub fn from_toml_str(text: &str) -> Result<Self, ConfigError> {
         let sections = parse_sections(text)?;
         let node = sections
@@ -408,21 +450,22 @@ impl NodeConfig {
                         Some(TomlValue::IntList(list)) => list.iter().map(|&n| n as u64).collect(),
                         _ => return Err(ConfigError::Missing("replicas")),
                     };
-                    config.groups.push(GroupSpec {
+                    let spec = GroupSpec {
                         id: get_int(section, "id")? as u32,
                         style,
                         replicas,
                         app,
                         join: matches!(section.values.get("join"), Some(TomlValue::Bool(true))),
-                        heartbeat_ms: match section.values.get("heartbeat_ms") {
-                            Some(TomlValue::Int(n)) => Some(*n as u64),
-                            _ => None,
-                        },
-                        failure_timeout_ms: match section.values.get("failure_timeout_ms") {
-                            Some(TomlValue::Int(n)) => Some(*n as u64),
-                            _ => None,
-                        },
-                    });
+                        heartbeat_ms: get_millis(section, "heartbeat_ms")?,
+                        failure_timeout_ms: get_millis(section, "failure_timeout_ms")?,
+                    };
+                    spec.group_config()
+                        .validate()
+                        .map_err(|msg| ConfigError::Invalid {
+                            what: "group fault monitoring",
+                            value: msg,
+                        })?;
+                    config.groups.push(spec);
                 }
                 "node" => {}
                 other => {
@@ -513,6 +556,72 @@ app = "counter"
             NodeConfig::from_toml_str("x = 1"),
             Err(ConfigError::Parse { .. })
         ));
+    }
+
+    fn group_fault_monitoring_error(extra: &str) -> Option<ConfigError> {
+        // The sample's [[group]] table is last, so appended keys land in it.
+        NodeConfig::from_toml_str(&format!("{SAMPLE}{extra}")).err()
+    }
+
+    #[test]
+    fn rejects_a_zero_heartbeat_interval() {
+        assert!(matches!(
+            group_fault_monitoring_error("heartbeat_ms = 0\n"),
+            Some(ConfigError::Invalid {
+                what: "group fault monitoring",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn rejects_a_timeout_equal_to_the_heartbeat_interval() {
+        assert!(matches!(
+            group_fault_monitoring_error("heartbeat_ms = 40\nfailure_timeout_ms = 40\n"),
+            Some(ConfigError::Invalid {
+                what: "group fault monitoring",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn rejects_a_heartbeat_longer_than_the_default_timeout() {
+        // The default failure timeout is 50 ms.
+        assert!(matches!(
+            group_fault_monitoring_error("heartbeat_ms = 100\n"),
+            Some(ConfigError::Invalid {
+                what: "group fault monitoring",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn rejects_a_negative_timeout() {
+        assert!(matches!(
+            group_fault_monitoring_error("failure_timeout_ms = -5\n"),
+            Some(ConfigError::Invalid {
+                what: "failure_timeout_ms",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn loopback_example_configs_parse_and_validate() {
+        for text in [
+            include_str!("../../../examples/loopback/node1.toml"),
+            include_str!("../../../examples/loopback/node2.toml"),
+            include_str!("../../../examples/loopback/node3.toml"),
+        ] {
+            let config = match NodeConfig::from_toml_str(text) {
+                Ok(c) => c,
+                Err(e) => panic!("example config rejected: {e}"),
+            };
+            assert_eq!(config.groups[0].heartbeat_ms, Some(30));
+            assert_eq!(config.groups[0].failure_timeout_ms, Some(300));
+        }
     }
 
     #[test]

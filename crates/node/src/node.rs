@@ -24,7 +24,6 @@ use vd_core::knobs::LowLevelKnobs;
 use vd_core::replica::{GroupMembership, HostedGroup, ReplicaActor, ReplicaConfig};
 use vd_group::message::GroupId;
 use vd_obs::{Obs, ObsHandle};
-use vd_simnet::time::SimDuration;
 use vd_simnet::topology::{NodeId, ProcessId};
 
 use crate::clock::NodeClock;
@@ -199,16 +198,7 @@ fn replica_factory(pid: ProcessId, config: &NodeConfig, obs: ObsHandle) -> Actor
                 // Real clusters usually widen the simulation-tuned
                 // fault-monitoring defaults: thread scheduling noise must
                 // not read as a crash.
-                if let Some(hb) = g.heartbeat_ms {
-                    let hb = SimDuration::from_millis(hb);
-                    rc.group_config.heartbeat_interval = hb;
-                    rc.knobs.fault_monitoring_interval = hb;
-                }
-                if let Some(timeout) = g.failure_timeout_ms {
-                    let timeout = SimDuration::from_millis(timeout);
-                    rc.group_config.failure_timeout = timeout;
-                    rc.knobs.fault_monitoring_timeout = timeout;
-                }
+                rc.group_config = g.group_config();
                 HostedGroup {
                     membership,
                     app: g.app.build(),

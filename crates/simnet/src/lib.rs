@@ -11,8 +11,11 @@
 //! * a **CPU model** that serializes handler execution per node ([`node`]),
 //! * **fault injection** — crash, loss, partition, timing faults ([`fault`]),
 //! * **measurement instruments** — histograms (latency/jitter), bandwidth
-//!   meters, counters, time series ([`metrics`]),
-//! * **event tracing** for debugging and determinism assertions ([`trace`]).
+//!   meters, counters, time series ([`metrics`]).
+//!
+//! Scheduler events (deliveries, drops, timer fires) are counted in the
+//! world's `vd-obs` registry ([`world::World::obs`]); `vd-obs`'s
+//! `TraceSink` is the one event trace.
 //!
 //! Everything above this crate (group communication, the ORB, the
 //! replicator) is written as [`actor::Actor`]s, so a whole distributed
@@ -57,7 +60,6 @@ pub mod node;
 pub mod rng;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod world;
 
 /// The most commonly used names, for glob import.

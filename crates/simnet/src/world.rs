@@ -43,7 +43,6 @@ use crate::node::NodeState;
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, ProcessId, Topology};
-use crate::trace::{DropReason, Trace, TraceEventKind};
 
 /// The source id used for messages injected by the harness rather than sent
 /// by an actor.
@@ -69,7 +68,6 @@ pub struct World {
     rng: DeterministicRng,
     metrics: MetricsHub,
     fault: FaultState,
-    trace: Trace,
     obs: ObsHandle,
     next_pid: u64,
     canceled_timers: BTreeMap<(ProcessId, TimerToken), u32>,
@@ -99,7 +97,6 @@ impl World {
             rng: DeterministicRng::new(seed),
             metrics: MetricsHub::new(),
             fault: FaultState::new(),
-            trace: Trace::default(),
             obs: Obs::disabled(),
             next_pid: 0,
             canceled_timers: BTreeMap::new(),
@@ -131,16 +128,6 @@ impl World {
     /// Mutable access to the metrics registry.
     pub fn metrics_mut(&mut self) -> &mut MetricsHub {
         &mut self.metrics
-    }
-
-    /// The event trace (enable via [`World::trace_mut`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace buffer.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The scheduler's observability endpoint: virtual-time event
@@ -188,8 +175,6 @@ impl World {
                 alive: true,
             },
         );
-        self.trace
-            .record(self.time, TraceEventKind::Spawned { pid, node });
         self.queue.push(self.time, EventKind::Start { pid });
         pid
     }
@@ -417,8 +402,6 @@ impl World {
                         alive: true,
                     },
                 );
-                self.trace
-                    .record(self.time, TraceEventKind::Spawned { pid, node });
                 self.dispatch(pid, |actor, ctx| actor.on_start(ctx));
             }
             EventKind::Control(action) => self.apply_control(action),
@@ -534,12 +517,6 @@ impl World {
 
     // ----- internals -------------------------------------------------------
 
-    fn record_drop(&mut self, src: ProcessId, dst: ProcessId, reason: DropReason) {
-        self.obs.metrics.incr(Ctr::SimDrops);
-        self.trace
-            .record(self.time, TraceEventKind::Dropped { src, dst, reason });
-    }
-
     fn handle_deliver(
         &mut self,
         src: ProcessId,
@@ -550,16 +527,16 @@ impl World {
         // Destination may have died or its node gone down since the message
         // was routed.
         let Some(entry) = self.procs.get(&dst) else {
-            self.record_drop(src, dst, DropReason::DeadProcess);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         };
         if !entry.alive {
-            self.record_drop(src, dst, DropReason::DeadProcess);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
         let node = entry.node;
         if !self.nodes[node.0 as usize].is_up() {
-            self.record_drop(src, dst, DropReason::NodeDown);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
         // CPU queueing: if the node is busy, retry when it frees up.
@@ -577,14 +554,6 @@ impl World {
             return;
         }
         self.obs.metrics.incr(Ctr::SimDeliveries);
-        self.trace.record(
-            self.time,
-            TraceEventKind::Delivered {
-                src,
-                dst,
-                wire_size,
-            },
-        );
         self.dispatch(dst, move |actor, ctx| actor.on_message(ctx, src, payload));
     }
 
@@ -612,8 +581,6 @@ impl World {
             return;
         }
         self.obs.metrics.incr(Ctr::SimTimerFires);
-        self.trace
-            .record(self.time, TraceEventKind::TimerFired { pid, token });
         self.dispatch(pid, |actor, ctx| actor.on_timer(ctx, token));
     }
 
@@ -691,7 +658,7 @@ impl World {
         depart: SimTime,
     ) {
         let Some(dst_entry) = self.procs.get(&dst) else {
-            self.record_drop(src, dst, DropReason::DeadProcess);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         };
         let dst_node = dst_entry.node;
@@ -716,16 +683,16 @@ impl World {
         self.metrics.bandwidth(NET_BANDWIDTH).record(now, wire_size);
 
         if self.fault.is_blocked(src_node, dst_node) {
-            self.record_drop(src, dst, DropReason::Partition);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
         if self.fault.drop_probability() > 0.0 && self.rng.gen_bool(self.fault.drop_probability()) {
-            self.record_drop(src, dst, DropReason::RandomLoss);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
         let link_p = self.fault.link_loss(src_node, dst_node);
         if link_p > 0.0 && self.rng.gen_bool(link_p) {
-            self.record_drop(src, dst, DropReason::LinkLoss);
+            self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
 
@@ -762,11 +729,7 @@ impl World {
 
     pub(crate) fn crash_process_now(&mut self, pid: ProcessId) {
         if let Some(entry) = self.procs.get_mut(&pid) {
-            if entry.alive {
-                entry.alive = false;
-                self.trace
-                    .record(self.time, TraceEventKind::Crashed { pid });
-            }
+            entry.alive = false;
         }
     }
 
@@ -777,8 +740,6 @@ impl World {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_up(false);
                 }
-                self.trace
-                    .record(self.time, TraceEventKind::NodeCrashed { node });
                 let on_node: Vec<ProcessId> = self
                     .procs
                     .iter()
@@ -793,8 +754,6 @@ impl World {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_up(true);
                 }
-                self.trace
-                    .record(self.time, TraceEventKind::NodeRestarted { node });
             }
             ControlAction::SetNodeSlowdown(node, factor) => {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
@@ -1178,6 +1137,8 @@ mod tests {
         assert_eq!(world.actor_ref::<Echo>(child).unwrap().seen, 1);
     }
 
+    /// Two runs with the same seed produce the same round trips, clock and
+    /// scheduler counters; a different seed produces a different run.
     #[test]
     fn determinism_same_seed_same_trace() {
         let run = |seed: u64| {
@@ -1189,7 +1150,6 @@ mod tests {
                 ),
             ));
             let mut world = World::new(topo, seed);
-            world.trace_mut().set_enabled(true);
             world.set_drop_probability(0.05);
             let echo = world.spawn(
                 NodeId(1),
@@ -1198,18 +1158,27 @@ mod tests {
                     seen: 0,
                 }),
             );
-            for node in [0u32, 2] {
-                world.spawn(
-                    NodeId(node),
-                    Box::new(Pinger {
-                        target: echo,
-                        sent_at: SimTime::ZERO,
-                        rtts: Vec::new(),
-                    }),
-                );
-            }
+            let pingers: Vec<ProcessId> = [0u32, 2]
+                .into_iter()
+                .map(|node| {
+                    world.spawn(
+                        NodeId(node),
+                        Box::new(Pinger {
+                            target: echo,
+                            sent_at: SimTime::ZERO,
+                            rtts: Vec::new(),
+                        }),
+                    )
+                })
+                .collect();
             world.run_for(SimDuration::from_millis(50));
-            world.trace().digest()
+            let rtts: Vec<Vec<SimDuration>> = pingers
+                .iter()
+                .map(|&p| world.actor_ref::<Pinger>(p).unwrap().rtts.clone())
+                .collect();
+            let counters = [Ctr::SimDeliveries, Ctr::SimDrops, Ctr::SimTimerFires]
+                .map(|c| world.obs().metrics.counter(c));
+            (rtts, world.now(), counters)
         };
         assert_eq!(run(77), run(77));
         assert_ne!(run(77), run(78));
