@@ -25,6 +25,10 @@ use vd_bench::experiments::{
     ablation, chaos, failslow, fanout, fig3, fig4, fig6, fig7, fig8, fig9, loopback, shard, trace,
 };
 
+/// `fanout` counts payload copies through this allocator.
+#[global_allocator]
+static GLOBAL: fanout::CountingAlloc = fanout::CountingAlloc;
+
 struct Options {
     which: String,
     requests: u64,

@@ -8,8 +8,9 @@
 //!    payload once and every per-member frame shares it; the benchmark
 //!    replays the same workload with a forced per-destination payload copy
 //!    (the pre-optimization behaviour) and compares heap traffic, counted
-//!    by a global allocator. The gate requires the shared path to copy at
-//!    least 2× fewer bytes per delivered message.
+//!    by [`CountingAlloc`], the `experiments` binary's global allocator.
+//!    The gate requires the shared path to copy at least 2× fewer bytes
+//!    per delivered message.
 //! 2. **Wire bytes per message, batched vs unbatched.** The same fan-out
 //!    with the batching knob on: N payloads under one header against N
 //!    headers, via the endpoint's [`DataPlaneStats`] cost model.
@@ -59,7 +60,12 @@ const COPY_THRESHOLD: usize = 512;
 
 /// Counts bulk heap traffic so the benchmark can observe payload copies
 /// without instrumenting the endpoint.
-struct CountingAlloc;
+///
+/// A library must not choose its dependents' allocator, so this one is
+/// installed by the binary that runs the measurement (the `experiments`
+/// CLI declares it as its `#[global_allocator]`). Under any other
+/// allocator the copy counts read zero.
+pub struct CountingAlloc;
 
 static BULK_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -82,9 +88,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.realloc(ptr, layout, new_size)
     }
 }
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Transfer totals of one checkpointing run.
 #[derive(Debug, Clone, Copy, Default)]

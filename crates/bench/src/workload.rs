@@ -199,8 +199,7 @@ impl Actor for OpenLoopClientActor {
             self.served += 1;
             if let Some(sent) = sent {
                 let rtt = ctx.now() - sent;
-                let metric = self.rtt_metric.clone();
-                ctx.metrics().histogram(&metric).record(rtt);
+                ctx.metrics().histogram(&self.rtt_metric).record(rtt);
             }
         }
     }

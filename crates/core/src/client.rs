@@ -256,8 +256,7 @@ impl Actor for ReplicatedClientActor {
         let completed_at = ctx.now() + ctx.cpu_used();
         if let Some(rtt) = self.driver.on_reply(completed_at, reply) {
             self.outstanding = None;
-            let metric = self.config.rtt_metric.clone();
-            ctx.metrics().histogram(&metric).record(rtt);
+            ctx.metrics().histogram(&self.config.rtt_metric).record(rtt);
             if self.driver.is_done() {
                 return;
             }

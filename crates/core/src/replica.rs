@@ -47,7 +47,7 @@ use crate::messages::{CachedReply, ReplicatorMsg};
 use crate::monitor::Monitor;
 use crate::policy::{AdaptationAction, AdaptationPolicy, PolicyContext};
 use crate::repstate::{CheckpointAccounting, SystemBoard};
-use crate::state::{apply_delta, diff_state, ReplicatedApplication};
+use crate::state::{apply_delta_in_place, diff_state, ReplicatedApplication};
 use crate::style::ReplicationStyle;
 
 /// Low bits of the group-scoped periodic-checkpoint timer token.
@@ -302,6 +302,9 @@ pub struct ReplicationEngine {
     evicted: bool,
     /// Suspicion watermark already forwarded to the recovery managers.
     reported_suspicions: u64,
+    /// The `<prefix>.rate` and `<prefix>.latency` series every policy tick
+    /// appends to.
+    series_names: [String; 2],
     /// Audit trail for the exploration invariant layer.
     #[cfg(feature = "check-invariants")]
     invariant_log: crate::invariants::InvariantLog,
@@ -354,6 +357,10 @@ impl ReplicationEngine {
         app: Box<dyn ReplicatedApplication>,
         config: ReplicaConfig,
     ) -> Self {
+        let series_names = [
+            format!("{}.rate", config.metrics_prefix),
+            format!("{}.latency", config.metrics_prefix),
+        ];
         ReplicationEngine {
             me,
             engine,
@@ -374,6 +381,7 @@ impl ReplicationEngine {
             ckpt_mirror: None,
             evicted: false,
             reported_suspicions: 0,
+            series_names,
             #[cfg(feature = "check-invariants")]
             invariant_log: crate::invariants::InvariantLog::default(),
         }
@@ -1037,8 +1045,9 @@ impl ReplicationEngine {
     /// Materializes the full state carried by a wire checkpoint. Full
     /// snapshots pass through; deltas are applied on the mirrored previous
     /// checkpoint. Returns `None` when the delta's base version does not
-    /// match the mirror — the chain rule — in which case the replica skips
-    /// the checkpoint and recovers at the next full snapshot.
+    /// match the mirror — the chain rule — or the delta is malformed, in
+    /// which case the replica skips the checkpoint, keeps its mirror, and
+    /// recovers at the next full snapshot.
     fn resolve_checkpoint_state(
         &mut self,
         version: u64,
@@ -1047,21 +1056,21 @@ impl ReplicationEngine {
     ) -> Option<Bytes> {
         let full = match delta_base {
             None => state,
-            Some(base_version) => match &self.ckpt_mirror {
-                Some((mirrored, base)) if *mirrored == base_version => {
-                    match apply_delta(base, &state) {
-                        Ok(full) => full,
-                        Err(_) => {
-                            self.checkpoints.note_rejected();
-                            return None;
-                        }
-                    }
-                }
-                _ => {
+            Some(base_version) => {
+                // The delta patches the mirror itself: in place when the
+                // mirror is its buffer's only handle, on a copy when the
+                // buffer is shared (as a full snapshot's is).
+                let Some((mirrored, mut mirror)) = self.ckpt_mirror.take() else {
+                    self.checkpoints.note_rejected();
+                    return None;
+                };
+                if mirrored != base_version || apply_delta_in_place(&mut mirror, &state).is_err() {
+                    self.ckpt_mirror = Some((mirrored, mirror));
                     self.checkpoints.note_rejected();
                     return None;
                 }
-            },
+                mirror
+            }
         };
         self.ckpt_mirror = Some((version, full.clone()));
         Some(full)
@@ -1236,14 +1245,12 @@ impl ReplicationEngine {
         let laggard_backups = laggards.iter().filter(|&&p| Some(p) != primary).count();
         self.monitor.set_laggards(laggards.len());
         let obs = self.monitor.observe(ctx.now());
-        let prefix = self.config.metrics_prefix.clone();
-        let rate_metric = format!("{prefix}.rate");
+        let [rate_metric, latency_metric] = &self.series_names;
         ctx.metrics()
-            .series(&rate_metric)
+            .series(rate_metric)
             .push(obs.at, obs.request_rate);
-        let latency_metric = format!("{prefix}.latency");
         ctx.metrics()
-            .series(&latency_metric)
+            .series(latency_metric)
             .push(obs.at, obs.latency_micros);
         let policy_ctx = PolicyContext {
             style: self.engine.style(),

@@ -192,47 +192,84 @@ fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
 }
 
 /// Applies a delta produced by [`diff_state`] to `base`, yielding the new
-/// state.
+/// state in a fresh buffer; `base` is left as it is. A thin wrapper over
+/// [`apply_delta_in_place`] on a second handle to `base`.
 ///
 /// # Errors
 ///
-/// [`DeltaError::BaseMismatch`] when `base` is not the state the delta was
-/// diffed against (by length), [`DeltaError::Malformed`] on corrupt bytes.
-/// The chain rule — apply deltas in version order on the exact base — is
-/// the caller's responsibility; version bookkeeping lives in the engine.
+/// As [`apply_delta_in_place`].
 pub fn apply_delta(base: &Bytes, delta: &Bytes) -> Result<Bytes, DeltaError> {
+    let mut state = base.clone();
+    apply_delta_in_place(&mut state, delta)?;
+    Ok(state)
+}
+
+/// Applies a delta produced by [`diff_state`] to `state`, replacing it
+/// with the new state. A `state` that is its buffer's only handle is
+/// patched where it lies; a shared one is copied first, and its other
+/// handles keep the old bytes. Every run is checked before any byte is
+/// written, so on error `state` is left exactly as it was.
+///
+/// # Errors
+///
+/// [`DeltaError::BaseMismatch`] when `state` is not the state the delta
+/// was diffed against (by length), [`DeltaError::Malformed`] on corrupt
+/// bytes. The chain rule — apply deltas in version order on the exact
+/// base — is the caller's responsibility; version bookkeeping lives in the
+/// engine.
+pub fn apply_delta_in_place(state: &mut Bytes, delta: &Bytes) -> Result<(), DeltaError> {
     let header = delta.get(0..4).ok_or(DeltaError::Malformed)?;
-    let new_len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let mut pos = 4;
-    // A whole-state run replaces the base outright (length-change case).
+    let new_len = le_u32(header);
+    // A whole-state run replaces the state outright (length-change case).
     if let Some(run) = delta.get(4..12) {
-        let off = u32::from_le_bytes([run[0], run[1], run[2], run[3]]) as usize;
-        let len = u32::from_le_bytes([run[4], run[5], run[6], run[7]]) as usize;
-        if off == 0 && len == new_len && new_len != base.len() {
-            if delta.len() != 12 + len {
+        if le_u32(&run[..4]) == 0 && le_u32(&run[4..]) == new_len && new_len != state.len() {
+            if delta.len() != 12 + new_len {
                 return Err(DeltaError::Malformed);
             }
-            return Ok(delta.slice(12..12 + len));
+            *state = delta.slice(12..);
+            return Ok(());
         }
     }
-    if base.len() != new_len {
+    if state.len() != new_len {
         return Err(DeltaError::BaseMismatch {
             expected: new_len,
-            actual: base.len(),
+            actual: state.len(),
         });
     }
-    let mut out = base.to_vec();
-    while pos < delta.len() {
-        let run = delta.get(pos..pos + 8).ok_or(DeltaError::Malformed)?;
-        let off = u32::from_le_bytes([run[0], run[1], run[2], run[3]]) as usize;
-        let len = u32::from_le_bytes([run[4], run[5], run[6], run[7]]) as usize;
-        pos += 8;
-        let bytes = delta.get(pos..pos + len).ok_or(DeltaError::Malformed)?;
-        let target = out.get_mut(off..off + len).ok_or(DeltaError::Malformed)?;
-        target.copy_from_slice(bytes);
-        pos += len;
+    for run in runs(delta) {
+        let (off, bytes) = run?;
+        if off > new_len || bytes.len() > new_len - off {
+            return Err(DeltaError::Malformed);
+        }
     }
-    Ok(Bytes::from(out))
+    let mut buf = std::mem::take(state)
+        .try_into_vec()
+        .unwrap_or_else(|shared| shared.to_vec());
+    for (off, bytes) in runs(delta).flatten() {
+        buf[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+    *state = Bytes::from(buf);
+    Ok(())
+}
+
+/// The `(offset, bytes)` runs after a delta's header; a truncated run
+/// yields [`DeltaError::Malformed`] and ends the walk.
+fn runs(delta: &[u8]) -> impl Iterator<Item = Result<(usize, &[u8]), DeltaError>> {
+    let mut pos = 4;
+    std::iter::from_fn(move || {
+        let rest = delta.get(pos..).filter(|rest| !rest.is_empty())?;
+        let run = rest.get(..8).and_then(|head| {
+            let len = le_u32(&head[4..]);
+            Some((le_u32(&head[..4]), rest.get(8..8 + len)?))
+        });
+        pos = run.map_or(delta.len(), |(_, bytes)| pos + 8 + bytes.len());
+        Some(run.ok_or(DeltaError::Malformed))
+    })
+}
+
+/// The little-endian `u32` at the start of `bytes` (at least 4 long).
+fn le_u32(bytes: &[u8]) -> usize {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize
 }
 
 #[cfg(test)]

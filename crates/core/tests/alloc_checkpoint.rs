@@ -1,8 +1,10 @@
 //! Allocation tests for the checkpoint path (DESIGN.md §11, "Ship state
 //! deltas"): a delta checkpoint of a large state costs one payload copy to
-//! capture the state, none to diff it and one to apply the delta. Building
-//! a `Bytes` from a finished buffer never copies it. Enforced with a
-//! counting global allocator that counts only the measuring thread.
+//! capture the state and none to diff it. Applying the delta copies the
+//! base once when the base is shared and not at all when the receiver's
+//! mirror is its buffer's only handle. Building a `Bytes` from a finished
+//! buffer never copies it. Enforced with a counting global allocator that
+//! counts only the measuring thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +13,9 @@ use std::sync::Mutex;
 
 use bytes::{Bytes, BytesMut};
 
-use vd_core::state::{apply_delta, diff_state, InvokeResult, ReplicatedApplication};
+use vd_core::state::{
+    apply_delta, apply_delta_in_place, diff_state, InvokeResult, ReplicatedApplication,
+};
 
 /// Application state size, as in the simulator benchmark.
 const STATE: usize = 64 * 1024;
@@ -176,6 +180,51 @@ fn a_delta_checkpoint_round_copies_the_state_once_per_side() {
         diff.bytes < 4 * SMALL,
         "diff copies changed runs only: {diff:?}"
     );
+    assert_eq!(apply.payload_sized, 1, "apply: {apply:?}");
+    assert!(
+        apply.bytes < STATE as u64 + SMALL,
+        "apply copies the base once: {apply:?}"
+    );
+}
+
+/// A captured state, the state five requests later, and the delta
+/// between them.
+fn five_requests_apart() -> (Bytes, Bytes, Bytes) {
+    let mut app = Padded {
+        state: vec![0; STATE],
+        invocations: 0,
+    };
+    let base = app.capture_state();
+    for _ in 0..5 {
+        app.invoke("increment", &Bytes::new())
+            .expect("the test application accepts every request");
+    }
+    let next = app.capture_state();
+    let delta = diff_state(&base, &next);
+    (base, next, delta)
+}
+
+#[test]
+fn a_delta_patches_a_sole_mirror_in_place() {
+    let (mut mirror, next, delta) = five_requests_apart();
+    let at = mirror.as_ptr();
+    let (result, apply) = allocs_during(|| apply_delta_in_place(&mut mirror, &delta));
+    assert_eq!(result, Ok(()));
+    assert_eq!(mirror, next);
+    assert_eq!(mirror.as_ptr(), at, "the mirror's buffer was replaced");
+    assert_eq!(apply.payload_sized, 0, "apply: {apply:?}");
+    assert!(apply.bytes < SMALL, "only a reference count: {apply:?}");
+}
+
+#[test]
+fn a_delta_copies_a_shared_mirror_once() {
+    let (mut mirror, next, delta) = five_requests_apart();
+    let other = mirror.clone();
+    let old = other.to_vec();
+    let (result, apply) = allocs_during(|| apply_delta_in_place(&mut mirror, &delta));
+    assert_eq!(result, Ok(()));
+    assert_eq!(mirror, next);
+    assert_eq!(other, old, "the other handle's bytes changed");
     assert_eq!(apply.payload_sized, 1, "apply: {apply:?}");
     assert!(
         apply.bytes < STATE as u64 + SMALL,

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 
 use vd_core::messages::ReplicatorMsg;
-use vd_core::state::{apply_delta, diff_state, DeltaError};
+use vd_core::state::{apply_delta, apply_delta_in_place, diff_state, DeltaError};
 use vd_core::style::ReplicationStyle;
 use vd_simnet::rng::DeterministicRng;
 
@@ -29,7 +29,7 @@ fn mutate(state: &mut Vec<u8>, rng: &mut DeterministicRng) {
 
 /// The receiver side of incremental mode, as the replica implements it:
 /// a mirror of the last reconstructed state plus its version; deltas apply
-/// only when their base version matches the mirror.
+/// only when their base version matches the mirror, and patch it in place.
 struct Mirror {
     version: u64,
     state: Bytes,
@@ -42,8 +42,8 @@ impl Mirror {
         delta_base: Option<u64>,
         wire_state: &Bytes,
     ) -> Result<(), DeltaError> {
-        let full = match delta_base {
-            None => wire_state.clone(),
+        match delta_base {
+            None => self.state = wire_state.clone(),
             Some(base) => {
                 if base != self.version {
                     // The chain rule: wrong base version, reject.
@@ -52,11 +52,10 @@ impl Mirror {
                         actual: self.version as usize,
                     });
                 }
-                apply_delta(&self.state, wire_state)?
+                apply_delta_in_place(&mut self.state, wire_state)?;
             }
-        };
+        }
         self.version = version;
-        self.state = full;
         Ok(())
     }
 }
@@ -274,6 +273,59 @@ fn wrong_length_bases_fail_at_the_byte_layer_too() {
             apply_delta(&shorter, &delta),
             Err(DeltaError::BaseMismatch { .. })
         ));
+    }
+}
+
+/// A delta the byte layer rejects — truncated, with a run past the end of
+/// the state, or diffed against a base of another length — returns its
+/// error and leaves the mirror byte-identical, whether the mirror is its
+/// buffer's only handle or shares it.
+#[test]
+fn rejected_deltas_leave_the_mirror_untouched() {
+    let mut rng = DeterministicRng::new(0x0B57A1E);
+    for _ in 0..50 {
+        let len = rng.gen_range_u64(16..=4096) as usize;
+        let base: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut next = base.clone();
+        // Byte 0 stays as it is, so no delta is a single whole-state run
+        // (which replaces a base of any length).
+        for _ in 0..=rng.gen_range_u64(0..=8) {
+            let at = rng.gen_range_u64(1..=len as u64 - 1) as usize;
+            next[at] = next[at].wrapping_add(1);
+        }
+        let delta = diff_state(&Bytes::from(base.clone()), &Bytes::from(next)).to_vec();
+        let mut past_the_end = delta.clone();
+        past_the_end.extend_from_slice(&(len as u32 - 1).to_le_bytes());
+        past_the_end.extend_from_slice(&2u32.to_le_bytes());
+        past_the_end.extend_from_slice(&[0, 0]);
+        let cases = [
+            (delta[..3].to_vec(), &base[..], DeltaError::Malformed),
+            (
+                delta[..delta.len() - 1].to_vec(),
+                &base[..],
+                DeltaError::Malformed,
+            ),
+            (past_the_end, &base[..], DeltaError::Malformed),
+            (
+                delta,
+                &base[1..],
+                DeltaError::BaseMismatch {
+                    expected: len,
+                    actual: len - 1,
+                },
+            ),
+        ];
+        for (bad, state, error) in cases {
+            let bad = Bytes::from(bad);
+            let mut sole = Bytes::copy_from_slice(state);
+            let at = sole.as_ptr();
+            assert_eq!(apply_delta_in_place(&mut sole, &bad), Err(error.clone()));
+            assert_eq!((sole.as_ptr(), &sole[..]), (at, state));
+            let mut shared = Bytes::copy_from_slice(state);
+            let other = shared.clone();
+            assert_eq!(apply_delta_in_place(&mut shared, &bad), Err(error));
+            assert_eq!((shared.as_ptr(), &shared[..]), (other.as_ptr(), state));
+        }
     }
 }
 

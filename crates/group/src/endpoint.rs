@@ -882,70 +882,65 @@ impl Endpoint {
 
     /// Delivers every message that has become deliverable, to fixpoint.
     fn try_deliver(&mut self, out: &mut Vec<Output>) {
-        loop {
-            let mut progress = false;
-            // Agreed total order: follow the global cursor.
-            while let Some(&(sender, seq)) = self.assignments.get(&self.next_global_deliver) {
-                let Some(stream) = self.streams.get_mut(&sender) else {
-                    break;
-                };
-                // The global order respects per-sender order, so the agreed
-                // cursor must be exactly at `seq` once ready.
-                if stream.peek_class(DeliveryOrder::Agreed) != Some(seq) {
-                    break;
-                }
-                let Some(msg) = stream.get(seq).cloned() else {
-                    break;
-                };
-                stream.mark_delivered(DeliveryOrder::Agreed);
-                let g = self.next_global_deliver;
-                self.next_global_deliver += 1;
-                self.emit_delivery(&msg, Some(g), out);
-                progress = true;
+        // Emitting a delivery never touches the streams: take them out to
+        // walk them in place and deliver straight from their buffers.
+        let mut streams = std::mem::take(&mut self.streams);
+        // Agreed total order: follow the global cursor.
+        while let Some(&(sender, seq)) = self.assignments.get(&self.next_global_deliver) {
+            let Some(stream) = streams.get_mut(&sender) else {
+                break;
+            };
+            // The global order respects per-sender order, so the agreed
+            // cursor must be exactly at `seq` once ready.
+            if stream.peek_class(DeliveryOrder::Agreed) != Some(seq) {
+                break;
             }
-            // FIFO and causal: per-sender class cursors.
-            let senders: Vec<ProcessId> = self.streams.keys().copied().collect();
-            for s in senders {
-                while let Some(stream) = self.streams.get_mut(&s) {
-                    let Some(seq) = stream.peek_class(DeliveryOrder::Fifo) else {
+            let Some(msg) = stream.get(seq) else {
+                break;
+            };
+            let g = self.next_global_deliver;
+            self.next_global_deliver += 1;
+            self.emit_delivery(msg, Some(g), out);
+            stream.mark_delivered(DeliveryOrder::Agreed);
+        }
+        // FIFO and causal: per-sender class cursors. The class cursors move
+        // independently and only a causal delivery advances
+        // `delivered_clock`, so only a causal delivery can unblock a message
+        // this pass already went by: pass again only after one.
+        loop {
+            let mut delivered_causal = false;
+            for (&sender, stream) in &mut streams {
+                while let Some(seq) = stream.peek_class(DeliveryOrder::Fifo) {
+                    let Some(msg) = stream.get(seq) else {
                         break;
                     };
-                    let Some(msg) = stream.get(seq).cloned() else {
-                        break;
-                    };
+                    self.emit_delivery(msg, None, out);
                     stream.mark_delivered(DeliveryOrder::Fifo);
-                    self.emit_delivery(&msg, None, out);
-                    progress = true;
                 }
-                while let Some(stream) = self.streams.get_mut(&s) {
-                    let Some(seq) = stream.peek_class(DeliveryOrder::Causal) else {
-                        break;
-                    };
-                    let Some(msg) = stream.get(seq).cloned() else {
+                while let Some(seq) = stream.peek_class(DeliveryOrder::Causal) {
+                    let Some(msg) = stream.get(seq) else {
                         break;
                     };
                     // A causal message always carries its clock; a missing
                     // one means the stream is corrupt — stop delivering from
                     // it rather than panic.
-                    let Some(vc) = msg.vclock.clone() else {
+                    let Some(vc) = &msg.vclock else {
                         break;
                     };
-                    if !self.delivered_clock.deliverable(s, &vc) {
+                    if !self.delivered_clock.deliverable(sender, vc) {
                         break;
                     }
-                    let stamp = vc.get(s);
-                    if let Some(stream) = self.streams.get_mut(&s) {
-                        stream.mark_delivered(DeliveryOrder::Causal);
-                    }
-                    self.delivered_clock.set(s, stamp);
-                    self.emit_delivery(&msg, None, out);
-                    progress = true;
+                    self.delivered_clock.set(sender, vc.get(sender));
+                    self.emit_delivery(msg, None, out);
+                    stream.mark_delivered(DeliveryOrder::Causal);
+                    delivered_causal = true;
                 }
             }
-            if !progress {
+            if !delivered_causal {
                 break;
             }
         }
+        self.streams = streams;
     }
 
     fn emit_delivery(&mut self, msg: &DataMsg, global_seq: Option<u64>, out: &mut Vec<Output>) {

@@ -110,8 +110,26 @@ impl EventQueue {
         self.heap.pop()
     }
 
+    /// The earliest pending event.
+    pub fn peek(&self) -> Option<&ScheduledEvent> {
+        self.heap.peek()
+    }
+
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
+    }
+
+    /// Moves the earliest event to `(time, next seq)` without taking it
+    /// out: the key a [`pop`](Self::pop) followed by a
+    /// [`push`](Self::push) would give it, so the pop order is the same.
+    /// `time` must not be earlier than the event's current time.
+    pub fn rekey_top(&mut self, time: SimTime) {
+        if let Some(mut top) = self.heap.peek_mut() {
+            debug_assert!(time >= top.time, "re-keyed into the past");
+            top.time = time;
+            top.seq = self.next_seq;
+            self.next_seq += 1;
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -177,6 +195,8 @@ pub(crate) struct PendingEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DeterministicRng;
+    use crate::time::SimDuration;
 
     fn timer_event(pid: u64, token: u64) -> EventKind {
         EventKind::Timer {
@@ -236,6 +256,55 @@ mod tests {
         let order: Vec<(u64, u64)> = snap.iter().map(|e| (e.time.as_micros(), e.seq)).collect();
         assert_eq!(order, vec![(10, 1), (10, 2), (30, 0)]);
         assert!(snap.iter().all(|e| !e.is_deliver));
+    }
+
+    fn key_and_token(e: ScheduledEvent) -> (u64, u64, u64) {
+        match e.kind {
+            EventKind::Timer { token, .. } => (e.time.as_micros(), e.seq, token.0),
+            _ => unreachable!(),
+        }
+    }
+
+    /// Re-keying the top in place pops exactly what popping it and pushing
+    /// it back pops: the same `(time, seq, event)` sequence, over seeded
+    /// schedules crowded onto a few instants so that most keys tie on time.
+    #[test]
+    fn rekey_top_pops_like_pop_and_push() {
+        for seed in 0..32 {
+            let mut rng = DeterministicRng::new(seed);
+            let mut in_place = EventQueue::new();
+            let mut requeued = EventQueue::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut now = 0;
+            for token in 0..2_000 {
+                match rng.gen_range_u64(0..=2) {
+                    0 => {
+                        let at = SimTime::from_micros(now + 10 * rng.gen_range_u64(0..=3));
+                        in_place.push(at, timer_event(1, token));
+                        requeued.push(at, timer_event(1, token));
+                    }
+                    1 => {
+                        let Some(top) = in_place.peek_time() else {
+                            continue;
+                        };
+                        let until = top + SimDuration::from_micros(10 * rng.gen_range_u64(0..=2));
+                        in_place.rekey_top(until);
+                        let ev = requeued.pop().expect("the queues move in step");
+                        requeued.push(until, ev.kind);
+                    }
+                    _ => {
+                        if let Some(ev) = in_place.pop() {
+                            now = ev.time.as_micros();
+                            a.push(key_and_token(ev));
+                        }
+                        b.extend(requeued.pop().map(key_and_token));
+                    }
+                }
+            }
+            a.extend(std::iter::from_fn(|| in_place.pop()).map(key_and_token));
+            b.extend(std::iter::from_fn(|| requeued.pop()).map(key_and_token));
+            assert_eq!(a, b, "seed {seed}");
+        }
     }
 
     #[test]

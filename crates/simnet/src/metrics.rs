@@ -275,7 +275,7 @@ impl MetricsHub {
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
+        entry(&mut self.histograms, name)
     }
 
     /// A previously-created histogram, if any.
@@ -285,7 +285,7 @@ impl MetricsHub {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
+        entry(&mut self.counters, name)
     }
 
     /// A previously-created counter's value, or zero.
@@ -295,7 +295,7 @@ impl MetricsHub {
 
     /// The bandwidth meter named `name`, created on first use.
     pub fn bandwidth(&mut self, name: &str) -> &mut BandwidthMeter {
-        self.bandwidth.entry(name.to_owned()).or_default()
+        entry(&mut self.bandwidth, name)
     }
 
     /// A previously-created bandwidth meter, if any.
@@ -305,7 +305,7 @@ impl MetricsHub {
 
     /// The time series named `name`, created on first use.
     pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_owned()).or_default()
+        entry(&mut self.series, name)
     }
 
     /// A previously-created series, if any.
@@ -317,6 +317,15 @@ impl MetricsHub {
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
         self.histograms.keys().map(String::as_str)
     }
+}
+
+/// The instrument named `name`, created on first use. The key is
+/// allocated only then: instruments are looked up on hot paths.
+fn entry<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), T::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 #[cfg(test)]

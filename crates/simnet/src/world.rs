@@ -64,7 +64,9 @@ pub struct World {
     queue: EventQueue,
     topology: Topology,
     nodes: Vec<NodeState>,
-    procs: BTreeMap<ProcessId, ProcEntry>,
+    /// Indexed by pid; `None` for a pid handed out by [`Context::spawn`]
+    /// whose actor has not started yet.
+    procs: Vec<Option<ProcEntry>>,
     rng: DeterministicRng,
     metrics: MetricsHub,
     fault: FaultState,
@@ -72,6 +74,9 @@ pub struct World {
     next_pid: u64,
     canceled_timers: BTreeMap<(ProcessId, TimerToken), u32>,
     events_processed: u64,
+    /// The action buffer handed to each handler, kept to reuse its
+    /// allocation.
+    actions: Vec<Action>,
     /// Per-directed-link arrival watermark, maintained only while a
     /// gray-delay fault is active on that link: arrivals are clamped to be
     /// monotone so added delay + jitter never reorders a link's messages.
@@ -93,7 +98,7 @@ impl World {
             queue: EventQueue::new(),
             topology,
             nodes,
-            procs: BTreeMap::new(),
+            procs: Vec::new(),
             rng: DeterministicRng::new(seed),
             metrics: MetricsHub::new(),
             fault: FaultState::new(),
@@ -101,6 +106,7 @@ impl World {
             next_pid: 0,
             canceled_timers: BTreeMap::new(),
             events_processed: 0,
+            actions: Vec::new(),
             link_fifo: BTreeMap::new(),
         }
     }
@@ -148,7 +154,8 @@ impl World {
         &self.fault
     }
 
-    /// Total handler invocations and control events processed so far.
+    /// Events taken from the queue so far: handler runs, control actions,
+    /// drops, swallowed timers and CPU deferrals alike.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -167,26 +174,39 @@ impl World {
         );
         let pid = ProcessId(self.next_pid);
         self.next_pid += 1;
-        self.procs.insert(
-            pid,
-            ProcEntry {
-                node,
-                actor: Some(actor),
-                alive: true,
-            },
-        );
+        self.insert_proc(pid, node, actor);
         self.queue.push(self.time, EventKind::Start { pid });
         pid
     }
 
+    fn insert_proc(&mut self, pid: ProcessId, node: NodeId, actor: Box<dyn Actor>) {
+        let i = pid.0 as usize;
+        if self.procs.len() <= i {
+            self.procs.resize_with(i + 1, || None);
+        }
+        self.procs[i] = Some(ProcEntry {
+            node,
+            actor: Some(actor),
+            alive: true,
+        });
+    }
+
+    fn proc(&self, pid: ProcessId) -> Option<&ProcEntry> {
+        self.procs.get(usize::try_from(pid.0).ok()?)?.as_ref()
+    }
+
+    fn proc_mut(&mut self, pid: ProcessId) -> Option<&mut ProcEntry> {
+        self.procs.get_mut(usize::try_from(pid.0).ok()?)?.as_mut()
+    }
+
     /// Whether `pid` exists and has not crashed.
     pub fn is_alive(&self, pid: ProcessId) -> bool {
-        self.procs.get(&pid).is_some_and(|p| p.alive)
+        self.proc(pid).is_some_and(|p| p.alive)
     }
 
     /// The node `pid` runs on, if the process exists.
     pub fn node_of(&self, pid: ProcessId) -> Option<NodeId> {
-        self.procs.get(&pid).map(|p| p.node)
+        self.proc(pid).map(|p| p.node)
     }
 
     /// Whether `node` is up.
@@ -209,14 +229,14 @@ impl World {
     /// experiment harnesses). Returns `None` if the process does not exist
     /// or is of a different concrete type.
     pub fn actor_ref<A: Actor>(&self, pid: ProcessId) -> Option<&A> {
-        let entry = self.procs.get(&pid)?;
+        let entry = self.proc(pid)?;
         let actor = entry.actor.as_deref()?;
         (actor as &dyn Any).downcast_ref::<A>()
     }
 
     /// Mutable variant of [`World::actor_ref`].
     pub fn actor_mut<A: Actor>(&mut self, pid: ProcessId) -> Option<&mut A> {
-        let entry = self.procs.get_mut(&pid)?;
+        let entry = self.proc_mut(pid)?;
         let actor = entry.actor.as_deref_mut()?;
         (actor as &mut dyn Any).downcast_mut::<A>()
     }
@@ -347,12 +367,19 @@ impl World {
 
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(top) = self.queue.peek() else {
             return false;
         };
-        debug_assert!(ev.time >= self.time, "time went backwards");
-        self.time = ev.time;
-        self.process_event(ev.kind);
+        debug_assert!(top.time >= self.time, "time went backwards");
+        self.time = top.time;
+        // An event that must wait for a busy CPU is re-keyed where it sits
+        // instead of being popped and pushed back: same key, same order.
+        if let Some(busy_until) = self.deferral(&top.kind) {
+            self.events_processed += 1;
+            self.queue.rekey_top(busy_until);
+        } else if let Some(ev) = self.queue.pop() {
+            self.fire(ev.kind);
+        }
         true
     }
 
@@ -380,28 +407,49 @@ impl World {
         self.queue.snapshot()
     }
 
+    /// Handles an event taken out of the queue: defers it while its CPU is
+    /// busy, fires it otherwise.
     fn process_event(&mut self, kind: EventKind) {
+        if let Some(busy_until) = self.deferral(&kind) {
+            self.events_processed += 1;
+            self.queue.push(busy_until, kind);
+        } else {
+            self.fire(kind);
+        }
+    }
+
+    /// CPU queueing: when `kind` targets a live process on an up node whose
+    /// CPU is busy past now (and, for a timer, one not cancelled), the
+    /// instant the CPU frees up. The event then waits, re-keyed to
+    /// `(busy_until, fresh seq)`: it runs after everything already
+    /// scheduled for that instant, and is checked again at its turn.
+    fn deferral(&self, kind: &EventKind) -> Option<SimTime> {
+        let (pid, timer) = match kind {
+            EventKind::Deliver { dst, .. } => (*dst, None),
+            EventKind::Timer { pid, token } => (*pid, Some(*token)),
+            _ => return None,
+        };
+        let entry = self.proc(pid).filter(|p| p.alive)?;
+        let node = &self.nodes[entry.node.0 as usize];
+        let busy_until = node.busy_until();
+        let waits = node.is_up()
+            && busy_until > self.time
+            && timer.is_none_or(|token| !self.canceled_timers.contains_key(&(pid, token)));
+        waits.then_some(busy_until)
+    }
+
+    fn fire(&mut self, kind: EventKind) {
         self.events_processed += 1;
         match kind {
             EventKind::Deliver {
-                src,
-                dst,
-                payload,
-                wire_size,
-            } => self.handle_deliver(src, dst, payload, wire_size),
+                src, dst, payload, ..
+            } => self.handle_deliver(src, dst, payload),
             EventKind::Timer { pid, token } => self.handle_timer(pid, token),
             EventKind::Start { pid } => {
                 self.dispatch(pid, |actor, ctx| actor.on_start(ctx));
             }
             EventKind::SpawnDynamic { pid, node, actor } => {
-                self.procs.insert(
-                    pid,
-                    ProcEntry {
-                        node,
-                        actor: Some(actor),
-                        alive: true,
-                    },
-                );
+                self.insert_proc(pid, node, actor);
                 self.dispatch(pid, |actor, ctx| actor.on_start(ctx));
             }
             EventKind::Control(action) => self.apply_control(action),
@@ -454,8 +502,11 @@ impl World {
     /// [`crate::explore::ExploreConfig`].
     pub fn state_digest(&self) -> Option<u64> {
         let mut h = crate::explore::Fnv64::new();
-        for (&pid, entry) in &self.procs {
-            h.write_u64(pid.0);
+        for (pid, entry) in self.procs.iter().enumerate() {
+            let Some(entry) = entry else {
+                continue;
+            };
+            h.write_u64(pid as u64);
             h.write_u64(u64::from(entry.node.0));
             h.write_u64(u64::from(entry.alive));
             if entry.alive {
@@ -517,16 +568,10 @@ impl World {
 
     // ----- internals -------------------------------------------------------
 
-    fn handle_deliver(
-        &mut self,
-        src: ProcessId,
-        dst: ProcessId,
-        payload: Box<dyn Payload>,
-        wire_size: usize,
-    ) {
+    fn handle_deliver(&mut self, src: ProcessId, dst: ProcessId, payload: Box<dyn Payload>) {
         // Destination may have died or its node gone down since the message
         // was routed.
-        let Some(entry) = self.procs.get(&dst) else {
+        let Some(entry) = self.proc(dst) else {
             self.obs.metrics.incr(Ctr::SimDrops);
             return;
         };
@@ -534,23 +579,8 @@ impl World {
             self.obs.metrics.incr(Ctr::SimDrops);
             return;
         }
-        let node = entry.node;
-        if !self.nodes[node.0 as usize].is_up() {
+        if !self.nodes[entry.node.0 as usize].is_up() {
             self.obs.metrics.incr(Ctr::SimDrops);
-            return;
-        }
-        // CPU queueing: if the node is busy, retry when it frees up.
-        let busy_until = self.nodes[node.0 as usize].busy_until();
-        if busy_until > self.time {
-            self.queue.push(
-                busy_until,
-                EventKind::Deliver {
-                    src,
-                    dst,
-                    payload,
-                    wire_size,
-                },
-            );
             return;
         }
         self.obs.metrics.incr(Ctr::SimDeliveries);
@@ -565,19 +595,10 @@ impl World {
             }
             return;
         }
-        let Some(entry) = self.procs.get(&pid) else {
+        let Some(entry) = self.proc(pid) else {
             return;
         };
-        if !entry.alive {
-            return;
-        }
-        let node = entry.node;
-        if !self.nodes[node.0 as usize].is_up() {
-            return;
-        }
-        let busy_until = self.nodes[node.0 as usize].busy_until();
-        if busy_until > self.time {
-            self.queue.push(busy_until, EventKind::Timer { pid, token });
+        if !entry.alive || !self.nodes[entry.node.0 as usize].is_up() {
             return;
         }
         self.obs.metrics.incr(Ctr::SimTimerFires);
@@ -588,7 +609,7 @@ impl World {
     where
         F: FnOnce(&mut dyn Actor, &mut Context<'_>),
     {
-        let Some(entry) = self.procs.get_mut(&pid) else {
+        let Some(entry) = self.proc_mut(pid) else {
             return;
         };
         if !entry.alive {
@@ -606,31 +627,33 @@ impl World {
             now: self.nodes[node.0 as usize].perceive(self.time),
             self_id: pid,
             node,
-            actions: Vec::new(),
+            actions: std::mem::take(&mut self.actions),
             cpu_cost: SimDuration::ZERO,
             rng: &mut self.rng,
             metrics: &mut self.metrics,
             next_pid: &mut self.next_pid,
         };
         invoke(actor.as_mut(), &mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
+        let mut actions = std::mem::take(&mut ctx.actions);
         let cpu = ctx.cpu_cost;
-        if let Some(entry) = self.procs.get_mut(&pid) {
+        if let Some(entry) = self.proc_mut(pid) {
             entry.actor = Some(actor);
         }
         let effective = self.nodes[node.0 as usize].charge(self.time, cpu);
         let depart = self.time + effective;
-        self.apply_actions(pid, node, actions, depart);
+        self.apply_actions(pid, node, &mut actions, depart);
+        self.actions = actions;
     }
 
+    /// Applies (and drains) a handler's actions.
     fn apply_actions(
         &mut self,
         src: ProcessId,
         src_node: NodeId,
-        actions: Vec<Action>,
+        actions: &mut Vec<Action>,
         depart: SimTime,
     ) {
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { dst, payload } => self.route(src, src_node, dst, payload, depart),
                 Action::SetTimer { delay, token } => {
@@ -657,7 +680,7 @@ impl World {
         payload: Box<dyn Payload>,
         depart: SimTime,
     ) {
-        let Some(dst_entry) = self.procs.get(&dst) else {
+        let Some(dst_entry) = self.proc(dst) else {
             self.obs.metrics.incr(Ctr::SimDrops);
             return;
         };
@@ -728,7 +751,7 @@ impl World {
     }
 
     pub(crate) fn crash_process_now(&mut self, pid: ProcessId) {
-        if let Some(entry) = self.procs.get_mut(&pid) {
+        if let Some(entry) = self.proc_mut(pid) {
             entry.alive = false;
         }
     }
@@ -740,14 +763,10 @@ impl World {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_up(false);
                 }
-                let on_node: Vec<ProcessId> = self
-                    .procs
-                    .iter()
-                    .filter(|(_, e)| e.node == node && e.alive)
-                    .map(|(&pid, _)| pid)
-                    .collect();
-                for pid in on_node {
-                    self.crash_process_now(pid);
+                for entry in self.procs.iter_mut().flatten() {
+                    if entry.node == node {
+                        entry.alive = false;
+                    }
                 }
             }
             ControlAction::RestartNode(node) => {
@@ -788,7 +807,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("time", &self.time)
             .field("nodes", &self.nodes.len())
-            .field("processes", &self.procs.len())
+            .field("processes", &self.procs.iter().flatten().count())
             .field("queued_events", &self.queue.len())
             .field("events_processed", &self.events_processed)
             .finish()
@@ -1322,5 +1341,87 @@ mod tests {
         let rtt = world.actor_ref::<Pinger>(pinger).unwrap().rtts[0];
         // 200 µs network + 2 × 100 µs CPU.
         assert_eq!(rtt, SimDuration::from_micros(400));
+    }
+
+    #[derive(Debug)]
+    struct Tag(u64);
+    impl Payload for Tag {
+        fn wire_size(&self) -> usize {
+            16
+        }
+    }
+
+    /// Logs `(µs, label)` for every handler it runs: `Tag(n)` as `n`, timer
+    /// `t` as `100 + t`. `Tag(0)` is a 1 ms job that arms timer 1 for the
+    /// instant the job frees the CPU; timer 1 cancels timer 2, which
+    /// `on_start` arms to fire mid-job.
+    struct Recorder {
+        log: Vec<(u64, u64)>,
+    }
+    impl Actor for Recorder {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_micros(155), TimerToken(2));
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_>, _: ProcessId, payload: Box<dyn Payload>) {
+            if let Ok(tag) = crate::actor::downcast_payload::<Tag>(payload) {
+                self.log.push((ctx.now().as_micros(), tag.0));
+                if tag.0 == 0 {
+                    ctx.use_cpu(SimDuration::from_millis(1));
+                    ctx.set_timer(SimDuration::from_millis(1), TimerToken(1));
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+            self.log.push((ctx.now().as_micros(), 100 + token.0));
+            if token == TimerToken(1) {
+                ctx.cancel_timer(TimerToken(2));
+            }
+        }
+    }
+
+    /// The CPU-deferral rule: an event for a busy node is re-keyed to
+    /// `(busy_until, fresh seq)`. So at `busy_until` the events scheduled
+    /// for that instant before the deferrals run first, the deferred ones
+    /// follow in the order they were deferred, and anything scheduled for
+    /// the instant after them runs last. A deferred event is re-checked at
+    /// its turn: a cancelled timer is swallowed and a message to a process
+    /// that died meanwhile is dropped.
+    #[test]
+    fn busy_node_defers_events_to_a_fresh_key_at_busy_until() {
+        let mut world = lan_world(1);
+        let rec = world.spawn(NodeId(1), Box::new(Recorder { log: Vec::new() }));
+        let doomed = world.spawn(
+            NodeId(1),
+            Box::new(Echo {
+                cpu: SimDuration::ZERO,
+                seen: 0,
+            }),
+        );
+        // The job arrives at 5 µs (loopback) and holds node 1 until
+        // 1,005 µs; timer 1 is due at exactly 1,005 µs.
+        world.inject(rec, Tag(0));
+        world.run_until(SimTime::from_micros(100));
+        world.inject(rec, Tag(1));
+        // Timer 2 comes due at 155 µs, mid-job.
+        world.run_until(SimTime::from_micros(200));
+        world.inject(rec, Tag(2));
+        world.run_until(SimTime::from_micros(300));
+        world.inject(doomed, Ping(0));
+        world.crash_process_at(doomed, SimTime::from_micros(500));
+        // Arrives at exactly 1,005 µs, but is scheduled after the deferrals.
+        world.run_until(SimTime::from_micros(1_000));
+        world.inject(rec, Tag(3));
+        let drops = world.obs().metrics.counter(Ctr::SimDrops);
+        world.run_until(SimTime::from_micros(2_000));
+        assert_eq!(
+            world.actor_ref::<Recorder>(rec).unwrap().log,
+            vec![(5, 0), (1_005, 101), (1_005, 1), (1_005, 2), (1_005, 3)]
+        );
+        assert!(
+            world.canceled_timers.is_empty(),
+            "the deferred, cancelled timer 2 was swallowed at its turn"
+        );
+        assert_eq!(world.actor_ref::<Echo>(doomed).unwrap().seen, 0);
+        assert_eq!(world.obs().metrics.counter(Ctr::SimDrops), drops + 1);
     }
 }
