@@ -2,8 +2,8 @@
 //! with a mid-run primary kill (`BENCH_PR8.json`).
 //!
 //! Every other gate measures the stack inside the simulator. This one
-//! boots the *deployment* backend — `vd-node`'s supervised actor threads
-//! and UDP transport on 127.0.0.1 — drives a client workload through the
+//! boots the *deployment* backend — `vd-node`'s per-node event loops and
+//! UDP transport on 127.0.0.1 — drives a client workload through the
 //! ORB layer, kills the primary's process-level actor a third of the way
 //! in, and requires:
 //!
@@ -29,11 +29,9 @@
 //! mode the adaptive detector exists to prevent, observed here on real
 //! sockets rather than simulated links.
 //!
-//! For scale, the same request count also runs on the simulator backend
-//! (`Testbed`, identical style and replica count) and the JSON reports
-//! both rates. The two are *not* comparable as absolute performance —
-//! simulated time is virtual — but the pair catches gross regressions in
-//! either backend's per-request cost.
+//! The gate reports no request rate: its closed loop spends most of its
+//! wall clock in the fail-over wait and the gray phase's settling pause,
+//! so a rate would measure those sleeps. perfbench measures speed.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
@@ -46,8 +44,6 @@ use vd_node::config::{AppKind, GroupSpec, NodeConfig, PeerConfig};
 use vd_node::node::{Node, NodeHandle};
 use vd_obs::registry::Ctr;
 use vd_simnet::prelude::*;
-
-use crate::testbed::{build_replicated, TestbedConfig};
 
 /// Hard wall-clock ceiling for the UDP phase (seconds).
 pub const WALL_BUDGET_SECS: f64 = 60.0;
@@ -92,11 +88,6 @@ pub struct LoopbackResult {
     pub frames_sent: u64,
     /// Wall-clock seconds for the UDP phase.
     pub elapsed_secs: f64,
-    /// UDP-backend request rate (requests / elapsed wall-clock).
-    pub udp_rps: f64,
-    /// Simulator-backend rate for the same workload shape, in simulated
-    /// time (baseline context, not apples-to-apples).
-    pub sim_rps: f64,
 }
 
 impl LoopbackResult {
@@ -146,8 +137,8 @@ impl LoopbackResult {
     pub fn render(&self) -> String {
         format!(
             "## Loopback — 3 real nodes over UDP, primary killed mid-run, then a gray gateway\n\
-             requests  | accepted | counter | failovers | restarts | elapsed (s) | UDP req/s | sim req/s\n\
-             {:>9} | {:>8} | {:>7} | {:>9} | {:>8} | {:>11.2} | {:>9.0} | {:>9.0}\n\
+             requests  | accepted | counter | failovers | restarts | elapsed (s)\n\
+             {:>9} | {:>8} | {:>7} | {:>9} | {:>8} | {:>11.2}\n\
              gray phase ({GRAY_DELAY_MS} ms egress delay): {}/{} accepted, {} suspicions\n\
              zero lost: {} — zero duplicated: {} — {}\n",
             self.requests,
@@ -156,8 +147,6 @@ impl LoopbackResult {
             self.failovers,
             self.supervisor_restarts,
             self.elapsed_secs,
-            self.udp_rps,
-            self.sim_rps,
             self.gray_accepted,
             self.gray_requests,
             self.gray_suspicions,
@@ -185,7 +174,7 @@ impl LoopbackResult {
              \"supervisor_restarts\":{},\"frames_sent\":{},\
              \"gray_requests\":{},\"gray_accepted\":{},\"gray_suspicions\":{},\
              \"gray_delay_ms\":{GRAY_DELAY_MS},\
-             \"elapsed_secs\":{:.3},\"udp_rps\":{:.1},\"sim_rps\":{:.1},\
+             \"elapsed_secs\":{:.3},\
              \"wall_budget_secs\":{WALL_BUDGET_SECS},\
              \"failing_gates\":[{}],\"pass\":{}}}\n",
             self.requests,
@@ -199,8 +188,6 @@ impl LoopbackResult {
             self.gray_accepted,
             self.gray_suspicions,
             self.elapsed_secs,
-            self.udp_rps,
-            self.sim_rps,
             gates,
             self.failing_gates().is_empty()
         )
@@ -269,30 +256,6 @@ fn counter_value(body: &Bytes) -> u64 {
         raw.copy_from_slice(&body[..8]);
     }
     u64::from_le_bytes(raw)
-}
-
-/// Simulator baseline: same shape (3 active replicas, 1 closed-loop
-/// client, same request count), rate in simulated time.
-fn sim_baseline(requests: u64, seed: u64) -> f64 {
-    let config = TestbedConfig {
-        replicas: 3,
-        clients: 1,
-        style: ReplicationStyle::Active,
-        requests_per_client: requests,
-        seed,
-        ..TestbedConfig::default()
-    };
-    let mut bed = build_replicated(&config);
-    let deadline = bed.world.now() + SimDuration::from_secs(120);
-    while bed.total_completed() < requests && bed.world.now() < deadline {
-        bed.world.run_for(SimDuration::from_millis(50));
-    }
-    let elapsed = bed.world.now().as_secs_f64();
-    if elapsed > 0.0 {
-        bed.total_completed() as f64 / elapsed
-    } else {
-        0.0
-    }
 }
 
 /// Runs the loopback gate. `_requests` is accepted for CLI uniformity
@@ -395,12 +358,6 @@ pub fn run(_requests: u64, seed: u64) -> LoopbackResult {
         gray_accepted,
         gray_suspicions,
         elapsed_secs,
-        udp_rps: if elapsed_secs > 0.0 {
-            (accepted + gray_accepted) as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        sim_rps: sim_baseline(REQUESTS, seed),
     }
 }
 
@@ -422,8 +379,6 @@ mod tests {
             gray_accepted: 25,
             gray_suspicions: 0,
             elapsed_secs: 3.5,
-            udp_rps: 17.1,
-            sim_rps: 900.0,
         };
         let json = result.to_json();
         assert!(json.contains("\"experiment\":\"loopback\""));
@@ -446,8 +401,6 @@ mod tests {
             gray_accepted: 24,
             gray_suspicions: 2,
             elapsed_secs: 90.0,
-            udp_rps: 0.0,
-            sim_rps: 0.0,
         };
         let failing = result.failing_gates();
         assert_eq!(failing.len(), 6, "{failing:?}");

@@ -647,10 +647,12 @@ const BLOCKING_TOKENS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Thread primitives additionally rejected under
+/// Thread primitives and foreign calls additionally rejected under
 /// [`Config::blocking_everywhere_paths`]: the real transport's event-loop
-/// threads are legitimate there, but each spawn/sleep site must be
-/// explicitly justified, not ambient.
+/// thread and its one system call outside std are legitimate there, but
+/// each spawn/sleep/unsafe site must be explicitly justified, not
+/// ambient. String contents are blanked before matching, so `extern`
+/// stands for `extern "C"`.
 const EVENT_LOOP_TOKENS: &[(&str, &str)] = &[
     (
         "thread::spawn",
@@ -662,7 +664,15 @@ const EVENT_LOOP_TOKENS: &[(&str, &str)] = &[
     ),
     (
         "thread::sleep",
-        "a sleeping thread holds its actor's mailbox hostage",
+        "a sleeping event loop stalls every actor it hosts",
+    ),
+    (
+        "unsafe",
+        "the compiler no longer checks what this block does",
+    ),
+    (
+        "extern",
+        "a foreign function is only as safe as its hand-written signature",
     ),
 ];
 
@@ -1212,10 +1222,14 @@ impl Actor for Widget {
     fn blocking_everywhere_paths_scan_whole_files_and_skip_nondeterminism() {
         // Outside handler bodies; would be clean under the default scope.
         let src = "\
+extern \"C\" {
+    fn ppoll(fds: *mut u8, n: u64, t: *const u8, m: *const u8) -> i32;
+}
 pub fn pump(socket: UdpSocket) {
     thread::spawn(move || loop {
         let now = Instant::now();
         drop(now);
+        let _ = unsafe { ppoll(core::ptr::null_mut(), 0, core::ptr::null(), core::ptr::null()) };
     });
 }
 ";
@@ -1224,8 +1238,14 @@ pub fn pump(socket: UdpSocket) {
             findings.iter().all(|f| f.lint == Lint::BlockingInActor),
             "nondeterminism must be skipped for the real-network backend: {findings:?}"
         );
-        assert!(findings.iter().any(|f| f.message.contains("UdpSocket")));
-        assert!(findings.iter().any(|f| f.message.contains("thread::spawn")));
+        for token in ["UdpSocket", "thread::spawn", "unsafe", "extern"] {
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.message.contains(&format!("`{token}`"))),
+                "no finding for {token}: {findings:?}"
+            );
+        }
         assert!(findings.iter().all(|f| f.message.contains("justification")));
         // The same source under a normal path: no handler bodies, so the
         // blocking lint is silent and nondeterminism flags the Instant.

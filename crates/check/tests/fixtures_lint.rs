@@ -156,7 +156,14 @@ fn event_loop_fixture_is_clean_by_default_but_fully_flagged_whole_file() {
     };
     let findings = scan_source(&path, &source, &config);
     assert!(findings.iter().all(|f| f.lint == Lint::BlockingInActor));
-    for token in ["UdpSocket", "Mutex", "thread::spawn", "thread::sleep"] {
+    for token in [
+        "UdpSocket",
+        "Mutex",
+        "thread::spawn",
+        "thread::sleep",
+        "unsafe",
+        "extern",
+    ] {
         assert!(
             findings.iter().any(|f| f.message.contains(token)),
             "no whole-file finding for {token}: {findings:?}"

@@ -21,7 +21,7 @@
 //!
 //! Splitting the seam at "perform one effect" rather than "own the event
 //! loop" is what lets the two backends share every line of protocol code:
-//! the simulator's scheduler and the node's mailbox threads differ, but
+//! the simulator's scheduler and the node's event loop differ, but
 //! both reduce to the five operations below.
 
 use vd_simnet::actor::{Context, Payload, TimerToken};

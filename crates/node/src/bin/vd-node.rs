@@ -113,7 +113,7 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         None => {
-            // Run until killed: the node's threads do all the work.
+            // Run until killed: the node's loop thread does all the work.
             loop {
                 std::thread::sleep(Duration::from_secs(3600));
             }

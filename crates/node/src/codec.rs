@@ -115,8 +115,8 @@ pub fn encode_frame(to: ProcessId, from: ProcessId, payload: &dyn Payload) -> Op
 }
 
 /// Reads the destination process id out of a datagram without decoding
-/// the payload. The node's io pump routes on this, leaving the (possibly
-/// expensive) payload decode to the owning actor's thread.
+/// the payload. The node's event loop routes on this, and decodes the
+/// (possibly expensive) payload only for an actor that is up.
 pub fn peek_destination(datagram: &[u8]) -> Option<ProcessId> {
     if datagram.len() < 12 || datagram[..4] != MAGIC {
         return None;

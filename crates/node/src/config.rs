@@ -56,8 +56,8 @@ pub struct NodeConfig {
     pub node_id: u32,
     /// The UDP listen address, e.g. `127.0.0.1:7101`.
     pub listen: String,
-    /// Seed for the node's deterministic RNG (actor threads derive
-    /// per-actor seeds from it).
+    /// Seed for the node's deterministic RNG (each actor incarnation
+    /// derives its own seed from it).
     pub seed: u64,
     /// Directory for the node's line log; `None` disables file logging.
     pub log_dir: Option<PathBuf>,
@@ -481,7 +481,7 @@ impl NodeConfig {
 
     /// Reads and parses a config file.
     ///
-    /// File IO happens once at startup, before any actor thread exists —
+    /// File IO happens once at startup, before the node's loop exists —
     /// this is the justified exception to the no-blocking rule.
     pub fn load(path: &std::path::Path) -> Result<Self, ConfigError> {
         let text = std::fs::read_to_string(path).map_err(ConfigError::Io)?;

@@ -7,16 +7,21 @@
 //! ([`vd_group::transport::Transport`]), with the simulator remaining
 //! the model-checked twin.
 //!
-//! The runtime is an actor supervision tree (`DESIGN.md` §16):
+//! The runtime is one event loop per node (`DESIGN.md` §16):
 //!
-//! * one **io pump** thread per node blocks on the shared UDP socket and
-//!   routes raw datagrams to mailboxes by destination pid
-//!   ([`transport::run_io_pump`]),
-//! * one **actor thread** per hosted process id owns that replica's
-//!   entire state and runs the sans-IO handlers unchanged ([`host`]),
-//! * a **supervisor** loop around each actor thread catches panics and
-//!   restarts the actor with capped deterministic backoff, re-joining
-//!   its groups through the recovery path ([`host::SupervisorPolicy`]).
+//! * one **thread** per node, `vd-node-<id>`, owns the node's UDP socket
+//!   and every actor it hosts, and blocks in one `ppoll(2)` until a
+//!   datagram, a timer, a restart or a held datagram is due ([`host`]),
+//! * one **actor** per hosted process id owns that replica's entire state
+//!   and runs the sans-IO handlers unchanged, one handler at a time, as
+//!   the simulator runs them,
+//! * a **supervisor** catches each handler's panic and restarts the actor
+//!   with capped deterministic backoff, re-joining its groups through the
+//!   recovery path ([`host::SupervisorPolicy`]), while the node's other
+//!   actors keep running.
+//!
+//! vd-node runs on Linux only: the loop waits in `ppoll(2)`, which the
+//! standard library does not wrap.
 //!
 //! The `vd-node` binary boots a node from a TOML config ([`config`]);
 //! [`client::LoopbackClient`] is the external ORB client used by the
@@ -29,13 +34,15 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("vd-node runs on Linux only: its event loop waits in ppoll(2)");
+
 pub mod client;
 pub mod clock;
 pub mod codec;
 pub mod config;
 pub mod host;
 pub mod log;
-pub mod mailbox;
 pub mod node;
 pub mod transport;
 

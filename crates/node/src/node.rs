@@ -1,24 +1,27 @@
-//! Assembling a node: socket, io pump, supervised actors, and the handle
-//! that controls them.
+//! Assembling a node: socket, event-loop thread, hosted replicas, and the
+//! handle that controls them.
 //!
 //! [`Node::start`] turns a [`NodeConfig`] into a running slice of the
-//! cluster: it binds the UDP socket, builds one mailbox plus one
-//! supervised [`vd_core::replica::ReplicaActor`] thread per
-//! local process id, starts the io pump that routes inbound datagrams to
-//! those mailboxes, and returns a [`NodeHandle`]. The handle is also the
-//! fault-injection surface: [`NodeHandle::crash_actor`] drops a
-//! [`MailItem::Crash`] into a mailbox, panicking the actor thread so the
-//! supervisor's restart-and-re-join path runs — the process-crash fault
-//! of the paper's fault model, injected exactly where the simulator's
-//! `crash_at` would inject it — and [`NodeHandle::set_egress_delay`]
-//! arms the socket-level [`crate::transport::DelayShim`], the gray
-//! (fail-slow) fault the simulator injects with `set_link_delay`.
+//! cluster: it binds the UDP socket, builds one supervised
+//! [`vd_core::replica::ReplicaActor`] factory per local process id, and
+//! starts the node's one thread, `vd-node-<id>`, whose event loop
+//! ([`crate::host`]) hosts them all, then returns a [`NodeHandle`]. The
+//! handle is also the fault-injection surface. [`NodeHandle::crash_actor`]
+//! crashes one actor as a panic would, so the supervisor's
+//! restart-and-re-join path runs — the process-crash fault of the paper's
+//! fault model, injected exactly where the simulator's `crash_at` would
+//! inject it. [`NodeHandle::set_egress_delay`] arms the socket-level delay
+//! shim, the gray (fail-slow) fault the simulator injects with
+//! `set_link_delay`. Both post to the loop over a control channel and then
+//! wake it with a zero-length datagram to the node's own socket.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use vd_core::knobs::LowLevelKnobs;
 use vd_core::replica::{GroupMembership, HostedGroup, ReplicaActor, ReplicaConfig};
@@ -28,23 +31,22 @@ use vd_simnet::topology::{NodeId, ProcessId};
 
 use crate::clock::NodeClock;
 use crate::config::{GroupSpec, NodeConfig};
-use crate::host::{spawn_supervised, ActorFactory, ActorSpec, SupervisorPolicy};
+use crate::host::{self, ActorFactory, ActorSpec, Control, SupervisorPolicy};
 use crate::log::NodeLog;
-use crate::mailbox::{MailItem, Mailbox};
-use crate::transport::{run_delay_pump, run_io_pump, DelayShim};
+use crate::transport::Wire;
 
 /// Builder entry points for a running node.
 #[derive(Debug)]
 pub struct Node;
 
-/// A running node: its actor threads, io pump and control surface.
+/// A running node: its event-loop thread and control surface.
 pub struct NodeHandle {
-    mailboxes: BTreeMap<ProcessId, Arc<Mailbox>>,
-    actor_joins: Vec<JoinHandle<()>>,
-    pump_join: Option<JoinHandle<()>>,
-    delay_join: Option<JoinHandle<()>>,
-    shim: Arc<DelayShim>,
-    shutdown: Arc<AtomicBool>,
+    pids: Vec<ProcessId>,
+    control: Sender<Control>,
+    /// A clone of the node socket, used only to wake the loop.
+    waker: UdpSocket,
+    wake_addr: SocketAddr,
+    thread: JoinHandle<()>,
     obs: ObsHandle,
     log: Arc<NodeLog>,
     local_addr: SocketAddr,
@@ -52,7 +54,7 @@ pub struct NodeHandle {
 
 impl Node {
     /// Binds `config.listen` and starts the node.
-    pub fn start(config: NodeConfig) -> std::io::Result<NodeHandle> {
+    pub fn start(config: NodeConfig) -> io::Result<NodeHandle> {
         let socket = UdpSocket::bind(&config.listen)?;
         Self::start_with_socket(config, socket)
     }
@@ -62,101 +64,92 @@ impl Node {
     /// Tests bind `127.0.0.1:0` themselves and rewrite the peer table
     /// with the kernel-chosen ports, which removes every port-collision
     /// race from the integration suite.
-    pub fn start_with_socket(config: NodeConfig, socket: UdpSocket) -> std::io::Result<NodeHandle> {
-        let local_addr = socket.local_addr()?;
-        let socket = Arc::new(socket);
-        let clock = NodeClock::new();
+    pub fn start_with_socket(config: NodeConfig, socket: UdpSocket) -> io::Result<NodeHandle> {
         let obs = Obs::enabled();
-        let log = NodeLog::create(
-            config.log_dir.as_deref(),
-            config.node_id,
-            clock.clone(),
-            config.mirror_stderr,
-        )?;
-        let mut peers: BTreeMap<ProcessId, SocketAddr> = BTreeMap::new();
-        for peer in &config.peers {
-            let addr = peer
-                .addr
-                .parse::<SocketAddr>()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            peers.insert(ProcessId(peer.pid), addr);
-        }
-        let peers = Arc::new(peers);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shim = Arc::new(DelayShim::new());
-
-        // One mailbox per local pid; the router map is immutable once the
-        // pump starts, so routing needs no locks.
-        let mut mailboxes: BTreeMap<ProcessId, Arc<Mailbox>> = BTreeMap::new();
-        for pid in config.local_pids() {
-            mailboxes.insert(ProcessId(pid), Mailbox::new(obs.clone()));
-        }
-        let router = Arc::new(mailboxes.clone());
-
         let mut policy = SupervisorPolicy::default();
         if let Some(ms) = config.restart_backoff_ms {
-            policy.backoff_base = std::time::Duration::from_millis(ms);
+            policy.backoff_base = Duration::from_millis(ms);
             policy.backoff_cap = policy.backoff_cap.max(policy.backoff_base);
         }
-        let mut actor_joins = Vec::new();
-        for (&pid, mailbox) in &mailboxes {
-            let spec = ActorSpec {
-                pid,
-                node: NodeId(config.node_id),
-                factory: replica_factory(pid, &config, obs.clone()),
+        let actors = config
+            .local_pids()
+            .into_iter()
+            .map(|pid| ActorSpec {
+                pid: ProcessId(pid),
+                factory: replica_factory(ProcessId(pid), &config, obs.clone()),
                 seed: config.seed,
                 policy,
-            };
-            actor_joins.push(spawn_supervised(
-                spec,
-                clock.clone(),
-                Arc::clone(&socket),
-                Arc::clone(&peers),
-                Arc::clone(&shim),
-                Arc::clone(mailbox),
-                obs.clone(),
-                Arc::clone(&log),
-                Arc::clone(&shutdown),
-            )?);
-        }
-
-        let pump_join = {
-            let socket = Arc::clone(&socket);
-            let obs = obs.clone();
-            let log = Arc::clone(&log);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name(format!("vd-pump-{}", config.node_id))
-                .spawn(move || run_io_pump(socket, router, obs, log, shutdown))?
-        };
-        let delay_join = {
-            let socket = Arc::clone(&socket);
-            let shim = Arc::clone(&shim);
-            let obs = obs.clone();
-            let log = Arc::clone(&log);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name(format!("vd-delay-{}", config.node_id))
-                .spawn(move || run_delay_pump(socket, shim, obs, log, shutdown))?
-        };
-
-        log.line(&format!(
-            "node {} up at {local_addr} hosting {:?}",
-            config.node_id,
-            mailboxes.keys().map(|p| p.0).collect::<Vec<_>>()
-        ));
-        Ok(NodeHandle {
-            mailboxes,
-            actor_joins,
-            pump_join: Some(pump_join),
-            delay_join: Some(delay_join),
-            shim,
-            shutdown,
-            obs,
-            log,
-            local_addr,
-        })
+            })
+            .collect();
+        spawn(&config, socket, actors, obs)
     }
+}
+
+/// Starts the thread `vd-node-<id>` hosting `actors` on `socket`, with the
+/// node id, peer table and log settings of `config`.
+pub(crate) fn spawn(
+    config: &NodeConfig,
+    socket: UdpSocket,
+    actors: Vec<ActorSpec>,
+    obs: ObsHandle,
+) -> io::Result<NodeHandle> {
+    let local_addr = socket.local_addr()?;
+    // The loop receives only after ppoll reports the socket readable, but
+    // a datagram can still vanish in between (a failed checksum); it must
+    // then read "would block", not hang.
+    socket.set_nonblocking(true)?;
+    let waker = socket.try_clone()?;
+    let clock = NodeClock::new();
+    let log = NodeLog::create(
+        config.log_dir.as_deref(),
+        config.node_id,
+        clock.clone(),
+        config.mirror_stderr,
+    )?;
+    let mut peers: BTreeMap<ProcessId, SocketAddr> = BTreeMap::new();
+    for peer in &config.peers {
+        let addr = peer
+            .addr
+            .parse::<SocketAddr>()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        peers.insert(ProcessId(peer.pid), addr);
+    }
+    let pids: Vec<ProcessId> = actors.iter().map(|spec| spec.pid).collect();
+    let (control, requests) = mpsc::channel();
+    let wire = Wire::new(socket, peers, clock, obs.clone(), Arc::clone(&log));
+    let thread = {
+        let node = NodeId(config.node_id);
+        let (obs, log) = (obs.clone(), Arc::clone(&log));
+        std::thread::Builder::new()
+            .name(format!("vd-node-{}", config.node_id))
+            .spawn(move || host::run(node, wire, actors, requests, obs, log))?
+    };
+    log.line(&format!(
+        "node {} up at {local_addr} hosting {:?}",
+        config.node_id,
+        pids.iter().map(|p| p.0).collect::<Vec<_>>()
+    ));
+    Ok(NodeHandle {
+        pids,
+        control,
+        waker,
+        wake_addr: wake_address(local_addr),
+        thread,
+        obs,
+        log,
+        local_addr,
+    })
+}
+
+/// Where the handle sends its wake-up datagrams: the node's own address,
+/// with an unspecified bind address replaced by loopback.
+fn wake_address(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// Builds the factory producing incarnations of one replica process.
@@ -223,52 +216,50 @@ impl NodeHandle {
 
     /// The process ids hosted by this node.
     pub fn local_pids(&self) -> Vec<ProcessId> {
-        self.mailboxes.keys().copied().collect()
+        self.pids.clone()
     }
 
     /// Arms (nonzero) or disarms (zero) a socket-level egress delay on
     /// every datagram this node sends — the gray-failure fault injection
     /// of the real backend: the node stays alive and keeps talking, but
     /// everything it says arrives `delay` late.
-    pub fn set_egress_delay(&self, delay: std::time::Duration) {
+    pub fn set_egress_delay(&self, delay: Duration) {
         self.log
             .line(&format!("egress delay shim set to {delay:?}"));
-        self.shim.set_delay(delay);
+        self.post(Control::EgressDelay(delay));
     }
 
-    /// Injects a crash into the actor for `pid` (it will panic and be
-    /// restarted by its supervisor). Returns `false` if `pid` is not
-    /// hosted here.
+    /// Injects a crash into the actor for `pid`: its incarnation is
+    /// dropped and its supervisor restarts it after the backoff. Returns
+    /// `false` if `pid` is not hosted here.
     pub fn crash_actor(&self, pid: ProcessId) -> bool {
-        match self.mailboxes.get(&pid) {
-            Some(mailbox) => {
-                self.log
-                    .line(&format!("injecting crash into actor {}", pid.0));
-                mailbox.push(MailItem::Crash);
-                true
-            }
-            None => false,
+        if !self.pids.contains(&pid) {
+            return false;
         }
+        self.log
+            .line(&format!("injecting crash into actor {}", pid.0));
+        self.post(Control::Crash(pid));
+        true
     }
 
-    /// Stops every actor and the io pump, then joins all threads.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for mailbox in self.mailboxes.values() {
-            mailbox.push(MailItem::Shutdown);
-        }
-        for join in self.actor_joins.drain(..) {
-            let _ = join.join();
-        }
-        if let Some(pump) = self.pump_join.take() {
-            let _ = pump.join();
-        }
-        if let Some(delay) = self.delay_join.take() {
-            // The delay pump re-checks shutdown at most 50 ms apart even
-            // while idle; waking it through the shim makes the join quick.
-            self.shim.set_delay(std::time::Duration::ZERO);
-            let _ = delay.join();
+    /// Stops the node's loop, and with it every actor, then joins its
+    /// thread.
+    pub fn shutdown(self) {
+        self.post(Control::Shutdown);
+        if self.thread.join().is_err() {
+            self.log.line("node loop panicked");
         }
         self.log.line("node shut down");
+    }
+
+    /// Hands `control` to the loop and wakes it.
+    fn post(&self, control: Control) {
+        // A send fails only once the loop has stopped; then there is
+        // nothing left to control.
+        if self.control.send(control).is_ok() {
+            if let Err(e) = self.waker.send_to(&[], self.wake_addr) {
+                self.log.line(&format!("waking the node loop failed: {e}"));
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The real-network [`Transport`]: UDP sockets plus an in-thread timer
-//! wheel.
+//! The real-network [`Transport`]: the node socket's send side, one timer
+//! wheel per hosted actor, and the egress-delay shim.
 //!
 //! This is the second implementation of the seam carved out of the group
 //! layer (`vd_group::transport::Transport`); the first is the simulator's
@@ -18,18 +18,17 @@
 //! * **The clock** is the node-local [`NodeClock`] — protocol code reads
 //!   `SimTime` either way and cannot tell the backends apart.
 //!
-//! The receive half lives in [`run_io_pump`]: one thread per node blocks
-//! on the shared socket and routes raw datagrams to actor mailboxes by
-//! the envelope's destination pid. Blocking on the socket is this
-//! thread's *job* — it is the explicitly justified exception to the
-//! vd-check blocking lint, not a blanket exemption (see
-//! `crates/check/allowlist.txt`).
+//! Everything here belongs to the node's one event-loop thread
+//! ([`crate::host`]): the socket, every actor's wheel and the shim's queue
+//! live on that thread, so none of it takes a lock. A `UdpTransport` is a
+//! short-lived view the loop builds around one handler call: it sends as
+//! that handler's pid through the node's `Wire` and arms timers on that
+//! actor's wheel. The receive half is the loop itself.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -43,7 +42,6 @@ use vd_simnet::topology::ProcessId;
 use crate::clock::NodeClock;
 use crate::codec;
 use crate::log::NodeLog;
-use crate::mailbox::{MailItem, Mailbox};
 
 /// Largest datagram the runtime sends or receives (the UDP maximum).
 pub const MAX_DATAGRAM: usize = 64 * 1024;
@@ -92,229 +90,172 @@ impl TimerWheel {
         self.heap.peek().map(|std::cmp::Reverse((at, _, _))| *at)
     }
 
-    /// Pops the next timer due at or before `now`, honoring cancels.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<TimerToken> {
+    /// The deadline of the next timer due at or before `now` that will
+    /// fire, discarding the due firings that cancels suppress on the way.
+    ///
+    /// Only due entries are discarded, in firing order, so a cancel still
+    /// suppresses the next *firing* of its token, as in the simulator.
+    pub fn next_due(&mut self, now: SimTime) -> Option<SimTime> {
         while let Some(std::cmp::Reverse((at, _, token))) = self.heap.peek().copied() {
             if at > now {
                 return None;
             }
+            let Some(count) = self.canceled.get_mut(&token) else {
+                return Some(at);
+            };
             self.heap.pop();
-            if let Some(count) = self.canceled.get_mut(&token) {
-                *count -= 1;
-                if *count == 0 {
-                    self.canceled.remove(&token);
-                }
-                continue;
+            *count -= 1;
+            if *count == 0 {
+                self.canceled.remove(&token);
             }
-            return Some(token);
         }
         None
     }
+
+    /// Pops the next timer due at or before `now`, honoring cancels.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<TimerToken> {
+        self.next_due(now)?;
+        self.heap
+            .pop()
+            .map(|std::cmp::Reverse((_, _, token))| token)
+    }
 }
 
-/// A socket-level egress delay shim: the gray-failure fault injector of
+/// The socket-level egress delay shim: the gray-failure fault injector of
 /// the real backend, mirroring the simulator's `set_link_delay` verb.
 ///
-/// While a delay is armed ([`DelayShim::set_delay`]), every datagram the
-/// node would send is parked in a FIFO queue instead and released onto
-/// the wire by the node's delay-pump thread once the delay has elapsed —
-/// the node is alive, its protocol state advances, but everything it says
-/// arrives late, which is exactly the fail-slow surface the adaptive
-/// detector exists for. With the delay at zero (the default) sends take
-/// the direct path and the shim costs one atomic load per datagram.
-///
-/// The queue is released in enqueue order; a send racing a `set_delay(0)`
-/// may overtake still-parked datagrams, which UDP's no-ordering contract
-/// already forces every consumer to tolerate.
+/// While a delay is armed, every datagram the node would send is parked
+/// in a FIFO queue instead, and the event loop puts it on the wire once
+/// the delay has elapsed — the node is alive, its protocol state advances,
+/// but everything it says arrives late, which is exactly the fail-slow
+/// surface the adaptive detector exists for. Disarmed (the default),
+/// sends take the direct path. Disarming does not flush the queue: held
+/// datagrams still leave at their release time, and fresh sends may
+/// overtake them, which UDP's no-ordering contract already forces every
+/// consumer to tolerate.
 #[derive(Debug, Default)]
-pub struct DelayShim {
-    delay_us: AtomicU64,
-    queue: Mutex<VecDeque<(Instant, SocketAddr, Bytes)>>,
-    wake: Condvar,
+struct DelayShim {
+    delay: Option<SimDuration>,
+    held: VecDeque<(SimTime, SocketAddr, Bytes)>,
 }
 
 impl DelayShim {
-    /// A disarmed shim (zero delay, direct sends).
-    pub fn new() -> Self {
-        DelayShim::default()
-    }
-
     /// Arms (nonzero) or disarms (zero) the egress delay.
-    pub fn set_delay(&self, delay: Duration) {
-        self.delay_us.store(
-            delay.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        self.wake.notify_all();
+    fn set_delay(&mut self, delay: Duration) {
+        let us = delay.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.delay = (us > 0).then(|| SimDuration::from_micros(us));
     }
 
-    /// The currently armed delay, if any.
-    pub fn active_delay(&self) -> Option<Duration> {
-        match self.delay_us.load(Ordering::Relaxed) {
-            0 => None,
-            us => Some(Duration::from_micros(us)),
-        }
+    /// The release time of the oldest held datagram.
+    fn next_release(&self) -> Option<SimTime> {
+        self.held.front().map(|&(due, _, _)| due)
     }
 
-    /// Parks a datagram for release at `due`.
-    fn hold(&self, due: Instant, addr: SocketAddr, bytes: Bytes) {
-        self.queue
-            .lock()
-            .expect("delay shim queue poisoned")
-            .push_back((due, addr, bytes));
-        self.wake.notify_all();
-    }
-}
-
-/// The node's delay-release loop: sleeps until the head of the shim's
-/// queue is due, then puts it on the wire (counting it as sent at that
-/// moment). Idles on the condvar while the shim is disarmed and empty.
-pub fn run_delay_pump(
-    socket: Arc<UdpSocket>,
-    shim: Arc<DelayShim>,
-    obs: ObsHandle,
-    log: Arc<NodeLog>,
-    shutdown: Arc<AtomicBool>,
-) {
-    loop {
-        let released = {
-            let mut queue = shim.queue.lock().expect("delay shim queue poisoned");
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    // Parked datagrams die with the node — an abrupt stop
-                    // may always eat in-flight traffic.
-                    return;
-                }
-                match queue.front() {
-                    Some(&(due, _, _)) if due <= Instant::now() => {
-                        break queue.pop_front().expect("non-empty queue");
-                    }
-                    Some(&(due, _, _)) => {
-                        let wait = due
-                            .saturating_duration_since(Instant::now())
-                            .min(Duration::from_millis(50));
-                        let (guard, _) = shim
-                            .wake
-                            .wait_timeout(queue, wait)
-                            .expect("delay shim queue poisoned");
-                        queue = guard;
-                    }
-                    None => {
-                        let (guard, _) = shim
-                            .wake
-                            .wait_timeout(queue, Duration::from_millis(50))
-                            .expect("delay shim queue poisoned");
-                        queue = guard;
-                    }
-                }
+    /// Takes the oldest held datagram if its release time has come.
+    fn pop_due(&mut self, now: SimTime) -> Option<(SocketAddr, Bytes)> {
+        match self.held.front() {
+            Some(&(due, _, _)) if due <= now => {
+                self.held.pop_front().map(|(_, addr, bytes)| (addr, bytes))
             }
-        };
-        let (_, addr, bytes) = released;
-        match socket.send_to(&bytes, addr) {
-            Ok(n) => {
-                obs.metrics.incr(Ctr::NodeFramesSent);
-                obs.metrics.add(Ctr::NodeBytesSent, n as u64);
-            }
-            Err(e) => {
-                log.line(&format!("delay pump: send to {addr} failed: {e}"));
-            }
+            _ => None,
         }
     }
 }
 
-/// The UDP-backed [`Transport`] owned by one actor thread.
+/// The node's side of the network: the one UDP socket, the peer table and
+/// the egress-delay shim, shared by every actor the node hosts.
 #[derive(Debug)]
-pub struct UdpTransport {
-    me: ProcessId,
+pub(crate) struct Wire {
+    socket: UdpSocket,
+    peers: BTreeMap<ProcessId, SocketAddr>,
+    shim: DelayShim,
     clock: NodeClock,
-    socket: Arc<UdpSocket>,
-    peers: Arc<BTreeMap<ProcessId, SocketAddr>>,
-    shim: Arc<DelayShim>,
     obs: ObsHandle,
     log: Arc<NodeLog>,
-    wheel: TimerWheel,
 }
 
-impl UdpTransport {
-    /// A transport sending as `me` through the node's shared socket,
-    /// routing through `shim` while an egress delay is armed.
-    pub fn new(
-        me: ProcessId,
+impl Wire {
+    /// The send side of `socket`, addressing peers through `peers`.
+    pub(crate) fn new(
+        socket: UdpSocket,
+        peers: BTreeMap<ProcessId, SocketAddr>,
         clock: NodeClock,
-        socket: Arc<UdpSocket>,
-        peers: Arc<BTreeMap<ProcessId, SocketAddr>>,
-        shim: Arc<DelayShim>,
         obs: ObsHandle,
         log: Arc<NodeLog>,
     ) -> Self {
-        UdpTransport {
-            me,
-            clock,
+        Wire {
             socket,
             peers,
-            shim,
+            shim: DelayShim::default(),
+            clock,
             obs,
             log,
-            wheel: TimerWheel::new(),
         }
     }
 
-    /// The earliest pending timer deadline on this actor's wheel.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.wheel.next_deadline()
+    /// The node socket (the event loop receives on it).
+    pub(crate) fn socket(&self) -> &UdpSocket {
+        &self.socket
     }
 
-    /// Pops the next due, un-canceled timer.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<TimerToken> {
-        self.wheel.pop_due(now)
-    }
-}
-
-impl Transport for UdpTransport {
-    fn now(&self) -> SimTime {
+    /// The node clock's current reading.
+    pub(crate) fn now(&self) -> SimTime {
         self.clock.now()
     }
 
-    fn local(&self) -> ProcessId {
-        self.me
+    /// Arms (nonzero) or disarms (zero) the egress delay.
+    pub(crate) fn set_egress_delay(&mut self, delay: Duration) {
+        self.shim.set_delay(delay);
     }
 
-    fn send_frame(&mut self, to: ProcessId, frame: Box<dyn Payload>) {
+    /// When the next held datagram is due on the wire.
+    pub(crate) fn next_release(&self) -> Option<SimTime> {
+        self.shim.next_release()
+    }
+
+    /// Puts every held datagram whose release time has come on the wire,
+    /// counting it as sent at that moment.
+    pub(crate) fn release_due(&mut self, now: SimTime) {
+        while let Some((addr, bytes)) = self.shim.pop_due(now) {
+            self.transmit(addr, &bytes);
+        }
+    }
+
+    /// Encodes `frame` from `from` to `to` and sends it, or parks it in
+    /// the shim while an egress delay is armed.
+    fn send(&mut self, from: ProcessId, to: ProcessId, frame: &dyn Payload) {
         let Some(addr) = self.peers.get(&to).copied() else {
-            self.log.line(&format!(
-                "drop: no peer address for {to:?} (from {:?})",
-                self.me
-            ));
+            self.log
+                .line(&format!("drop: no peer address for {to:?} (from {from:?})"));
             return;
         };
-        let Some(bytes) = codec::encode_frame(to, self.me, frame.as_ref()) else {
+        let Some(bytes) = codec::encode_frame(to, from, frame) else {
             self.log.line(&format!(
                 "drop: payload with no wire format for {to:?}: {frame:?}"
             ));
             return;
         };
-        if let Some(delay) = self.shim.active_delay() {
-            self.shim.hold(Instant::now() + delay, addr, bytes);
+        if let Some(delay) = self.shim.delay {
+            let due = self.clock.now() + delay;
+            self.shim.held.push_back((due, addr, bytes));
             return;
         }
-        match self.socket.send_to(&bytes, addr) {
-            Ok(n) => {
-                self.obs.metrics.incr(Ctr::NodeFramesSent);
-                self.obs.metrics.add(Ctr::NodeBytesSent, n as u64);
-            }
+        self.transmit(addr, &bytes);
+    }
+
+    fn transmit(&self, addr: SocketAddr, bytes: &[u8]) {
+        match self.socket.send_to(bytes, addr) {
+            Ok(n) => self.count_sent(n),
             Err(first) => {
                 // UDP sends fail transiently (e.g. ENOBUFS). One immediate
                 // retry, counted as a reconnect attempt; a second failure
                 // is a drop the protocol's retransmission path absorbs.
                 self.obs.metrics.incr(Ctr::NodeReconnects);
-                match self.socket.send_to(&bytes, addr) {
-                    Ok(n) => {
-                        self.obs.metrics.incr(Ctr::NodeFramesSent);
-                        self.obs.metrics.add(Ctr::NodeBytesSent, n as u64);
-                    }
+                match self.socket.send_to(bytes, addr) {
+                    Ok(n) => self.count_sent(n),
                     Err(second) => {
                         self.log.line(&format!(
-                            "drop: send to {to:?}@{addr} failed twice: {first}; {second}"
+                            "drop: send to {addr} failed twice: {first}; {second}"
                         ));
                     }
                 }
@@ -322,66 +263,47 @@ impl Transport for UdpTransport {
         }
     }
 
+    fn count_sent(&self, bytes: usize) {
+        self.obs.metrics.incr(Ctr::NodeFramesSent);
+        self.obs.metrics.add(Ctr::NodeBytesSent, bytes as u64);
+    }
+}
+
+/// The [`Transport`] one handler call performs its actions through: sends
+/// go out as `me` through the node's [`Wire`], timers land on `me`'s wheel.
+pub(crate) struct UdpTransport<'a> {
+    me: ProcessId,
+    wire: &'a mut Wire,
+    wheel: &'a mut TimerWheel,
+}
+
+impl<'a> UdpTransport<'a> {
+    /// A transport acting for `me`.
+    pub(crate) fn new(me: ProcessId, wire: &'a mut Wire, wheel: &'a mut TimerWheel) -> Self {
+        UdpTransport { me, wire, wheel }
+    }
+}
+
+impl Transport for UdpTransport<'_> {
+    fn now(&self) -> SimTime {
+        self.wire.now()
+    }
+
+    fn local(&self) -> ProcessId {
+        self.me
+    }
+
+    fn send_frame(&mut self, to: ProcessId, frame: Box<dyn Payload>) {
+        self.wire.send(self.me, to, frame.as_ref());
+    }
+
     fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let at = self.clock.now() + delay;
+        let at = self.wire.now() + delay;
         self.wheel.set(at, token);
     }
 
     fn cancel_timer(&mut self, token: TimerToken) {
         self.wheel.cancel(token);
-    }
-}
-
-/// How long the io pump blocks per `recv` before re-checking shutdown.
-const PUMP_POLL: Duration = Duration::from_millis(25);
-
-/// The node's receive loop: blocks on the shared socket, routes raw
-/// datagrams to local mailboxes by destination pid.
-///
-/// Runs until `shutdown` is set. Datagrams whose destination has no local
-/// mailbox (or that fail the envelope check) count as decode errors and
-/// are dropped — a remote peer cannot crash a node with garbage.
-pub fn run_io_pump(
-    socket: Arc<UdpSocket>,
-    router: Arc<BTreeMap<ProcessId, Arc<Mailbox>>>,
-    obs: ObsHandle,
-    log: Arc<NodeLog>,
-    shutdown: Arc<AtomicBool>,
-) {
-    if let Err(e) = socket.set_read_timeout(Some(PUMP_POLL)) {
-        log.line(&format!("io pump: set_read_timeout failed: {e}"));
-    }
-    let mut buf = vec![0u8; MAX_DATAGRAM];
-    while !shutdown.load(Ordering::Relaxed) {
-        match socket.recv_from(&mut buf) {
-            Ok((len, _from_addr)) => {
-                obs.metrics.incr(Ctr::NodeFramesRecv);
-                obs.metrics.add(Ctr::NodeBytesRecv, len as u64);
-                let datagram = &buf[..len];
-                let Some(to) = codec::peek_destination(datagram) else {
-                    obs.metrics.incr(Ctr::NodeDecodeErrors);
-                    log.line(&format!("recv: bad envelope ({len} bytes)"));
-                    continue;
-                };
-                let Some(mailbox) = router.get(&to) else {
-                    obs.metrics.incr(Ctr::NodeDecodeErrors);
-                    log.line(&format!("recv: no local actor {to:?}"));
-                    continue;
-                };
-                mailbox.push(MailItem::Frame(datagram.to_vec()));
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => {
-                // Transient receive errors (e.g. ICMP-induced ECONNREFUSED
-                // on some platforms) must not kill the pump.
-                log.line(&format!("io pump: recv error: {e}"));
-            }
-        }
     }
 }
 
@@ -411,55 +333,16 @@ mod tests {
     }
 
     #[test]
-    fn delay_shim_holds_then_releases_in_order() {
-        let recv = UdpSocket::bind("127.0.0.1:0").expect("bind recv");
-        recv.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let addr = recv.local_addr().expect("addr");
-        let send = Arc::new(UdpSocket::bind("127.0.0.1:0").expect("bind send"));
-        let shim = Arc::new(DelayShim::new());
-        assert!(shim.active_delay().is_none(), "disarmed by default");
-        shim.set_delay(Duration::from_millis(30));
-        let armed = Instant::now();
-        shim.hold(
-            armed + Duration::from_millis(30),
-            addr,
-            Bytes::from_static(b"one"),
-        );
-        shim.hold(
-            armed + Duration::from_millis(30),
-            addr,
-            Bytes::from_static(b"two"),
-        );
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let (socket, shim, shutdown) =
-                (Arc::clone(&send), Arc::clone(&shim), Arc::clone(&shutdown));
-            std::thread::spawn(move || {
-                run_delay_pump(
-                    socket,
-                    shim,
-                    vd_obs::Obs::disabled(),
-                    NodeLog::create(None, 0, NodeClock::new(), false).expect("log"),
-                    shutdown,
-                )
-            })
-        };
-        let mut buf = [0u8; 16];
-        let n = recv.recv(&mut buf).expect("first datagram");
-        assert!(
-            armed.elapsed() >= Duration::from_millis(30),
-            "released before the armed delay elapsed"
-        );
-        assert_eq!(&buf[..n], b"one", "held datagrams must release in order");
-        let n = recv.recv(&mut buf).expect("second datagram");
-        assert_eq!(&buf[..n], b"two");
-        shim.set_delay(Duration::ZERO);
-        assert!(shim.active_delay().is_none());
-        shutdown.store(true, Ordering::Relaxed);
-        shim.wake.notify_all();
-        pump.join().expect("pump join");
+    fn next_due_skips_canceled_firings_without_popping_live_ones() {
+        let mut wheel = TimerWheel::new();
+        wheel.set(SimTime::from_micros(10), TimerToken(1));
+        wheel.set(SimTime::from_micros(20), TimerToken(2));
+        wheel.cancel(TimerToken(1));
+        let now = SimTime::from_micros(50);
+        assert_eq!(wheel.next_due(now), Some(SimTime::from_micros(20)));
+        assert_eq!(wheel.next_due(now), Some(SimTime::from_micros(20)));
+        assert_eq!(wheel.pop_due(now), Some(TimerToken(2)));
+        assert_eq!(wheel.next_due(now), None);
     }
 
     #[test]
@@ -473,5 +356,44 @@ mod tests {
         let now = SimTime::from_micros(50);
         assert_eq!(wheel.pop_due(now), Some(TimerToken(7)));
         assert_eq!(wheel.pop_due(now), None);
+    }
+
+    #[test]
+    fn delay_shim_holds_then_releases_in_order() {
+        let recv = UdpSocket::bind("127.0.0.1:0").expect("bind recv");
+        recv.set_nonblocking(true).expect("nonblocking");
+        let addr = recv.local_addr().expect("addr");
+        let clock = NodeClock::new();
+        let mut wire = Wire::new(
+            UdpSocket::bind("127.0.0.1:0").expect("bind send"),
+            BTreeMap::new(),
+            clock.clone(),
+            vd_obs::Obs::disabled(),
+            NodeLog::sink(clock),
+        );
+        wire.set_egress_delay(Duration::from_millis(30));
+        let armed = wire.now();
+        let due = armed + SimDuration::from_millis(30);
+        for bytes in [&b"one"[..], b"two"] {
+            wire.shim
+                .held
+                .push_back((due, addr, Bytes::copy_from_slice(bytes)));
+        }
+        assert_eq!(wire.next_release(), Some(due));
+        wire.release_due(armed);
+        let mut buf = [0u8; 16];
+        assert!(recv.recv(&mut buf).is_err(), "released before the delay");
+        wire.set_egress_delay(Duration::ZERO);
+        assert!(wire.shim.delay.is_none(), "zero disarms");
+        assert_eq!(wire.next_release(), Some(due), "disarming keeps the queue");
+        wire.release_due(due);
+        assert_eq!(wire.next_release(), None);
+        recv.set_nonblocking(false).expect("blocking");
+        recv.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let n = recv.recv(&mut buf).expect("first datagram");
+        assert_eq!(&buf[..n], b"one", "held datagrams must release in order");
+        let n = recv.recv(&mut buf).expect("second datagram");
+        assert_eq!(&buf[..n], b"two");
     }
 }

@@ -142,8 +142,9 @@ metric_enum! {
         NodeBytesSent => ("node.socket_bytes_sent", L_NODE),
         /// Encoded bytes received from the real UDP socket.
         NodeBytesRecv => ("node.socket_bytes_recv", L_NODE),
-        /// Datagrams that failed to decode (malformed, unknown kind) and
-        /// were dropped by the node's receive pump.
+        /// Datagrams the node dropped undelivered: malformed, of an
+        /// unknown kind, or for a pid the node does not host or whose
+        /// actor is down.
         NodeDecodeErrors => ("node.decode_errors", L_NODE),
         /// Socket reopen attempts after a send/recv error.
         NodeReconnects => ("node.reconnect_attempts", L_NODE),
@@ -166,10 +167,6 @@ metric_enum! {
         /// detector, in milli-units (z-score × 1000), sampled each
         /// failure-check round.
         GroupSuspicionScore => ("group.suspicion_score", L_GRP),
-        /// Depth of the `vd-node` actor mailbox most recently pushed to
-        /// (sampled at enqueue time; a sustained high value means an
-        /// actor is falling behind its socket).
-        NodeMailboxDepth => ("node.mailbox_depth", L_NODE),
     }
 }
 
