@@ -13,17 +13,19 @@
 //!    per delivered message.
 //! 2. **Wire bytes per message, batched vs unbatched.** The same fan-out
 //!    with the batching knob on: N payloads under one header against N
-//!    headers, via the endpoint's [`DataPlaneStats`] cost model.
+//!    headers, read from the endpoint's `group.wire_bytes` counter (the
+//!    modeled wire size of every data frame copy it sent).
 //! 3. **Checkpoint transfer bytes, full vs delta.** Two warm-passive
 //!    test-bed runs (the Fig. 6/7 testbed) with identical workloads: one
 //!    sends a full snapshot every checkpoint, the other re-anchors every
 //!    K-th checkpoint and sends byte deltas in between.
-//! 4. **Tracing overhead.** The same fan-out with a live [`TraceSink`]
-//!    attached versus a disabled one, best of three runs each; the gate
-//!    requires the traced path to stay within 5% of the untraced
-//!    throughput (`BENCH_PR3.json`).
-//!
-//! [`DataPlaneStats`]: vd_group::endpoint::DataPlaneStats
+//! 4. **Tracing cost.** The same fan-out with a live [`TraceSink`]
+//!    attached versus a disabled one, three interleaved runs each
+//!    (`BENCH_PR3.json`). Two deterministic gates: the traced run emits
+//!    exactly [`TRACE_EVENTS_PER_MULTICAST`] events per multicast, and it
+//!    makes exactly as many heap allocations as the untraced run. The
+//!    wall-clock overhead (best of three) is reported but not gated: on a
+//!    shared machine its noise exceeds what tracing costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +38,7 @@ use vd_core::replica::ReplicaActor;
 use vd_core::repstate::CheckpointAccounting;
 use vd_core::style::ReplicationStyle;
 use vd_group::prelude::*;
-use vd_obs::{Obs, ObsHandle, TraceSink};
+use vd_obs::{Ctr, Obs, ObsHandle, TraceSink};
 use vd_simnet::time::{SimDuration, SimTime};
 use vd_simnet::topology::ProcessId;
 
@@ -58,19 +60,27 @@ const BATCH_PAYLOAD: usize = 64;
 /// traffic.
 const COPY_THRESHOLD: usize = 512;
 
-/// Counts bulk heap traffic so the benchmark can observe payload copies
-/// without instrumenting the endpoint.
+/// Trace events the fan-out path emits per FIFO multicast: one
+/// `GroupSend` for the fanned-out frame and one `GroupDeliver` for the
+/// sender's own copy.
+pub const TRACE_EVENTS_PER_MULTICAST: u64 = 2;
+
+/// Counts heap allocation calls and bulk heap traffic, so the benchmark
+/// can observe payload copies and allocations without instrumenting the
+/// endpoint.
 ///
 /// A library must not choose its dependents' allocator, so this one is
 /// installed by the binary that runs the measurement (the `experiments`
 /// CLI declares it as its `#[global_allocator]`). Under any other
-/// allocator the copy counts read zero.
+/// allocator both counts read zero.
 pub struct CountingAlloc;
 
 static BULK_BYTES: AtomicU64 = AtomicU64::new(0);
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= COPY_THRESHOLD {
             BULK_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -82,6 +92,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         if new_size >= COPY_THRESHOLD {
             BULK_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
@@ -134,6 +145,10 @@ pub struct FanoutResult {
     pub throughput_traced_frames_per_sec: f64,
     /// Trace events the instrumented run emitted.
     pub trace_events_emitted: u64,
+    /// Heap allocation calls of the untraced fan-out run.
+    pub allocations_untraced: u64,
+    /// Heap allocation calls of the traced fan-out run.
+    pub allocations_traced: u64,
     /// Modeled wire bytes per message without batching.
     pub wire_per_msg_unbatched: f64,
     /// Modeled wire bytes per message with the batching knob at 8.
@@ -164,6 +179,7 @@ impl FanoutResult {
 
     /// Throughput lost to tracing, percent of the untraced throughput
     /// (negative = the traced run happened to be faster — pure noise).
+    /// Reported, never gated.
     pub fn trace_overhead_percent(&self) -> f64 {
         if self.throughput_frames_per_sec <= 0.0 {
             return 0.0;
@@ -174,7 +190,8 @@ impl FanoutResult {
     /// The named acceptance gates CI enforces: the shared fan-out copies
     /// ≥ 2× fewer bytes per delivered message, batching does not cost
     /// wire bytes, the delta chain moves fewer checkpoint bytes without a
-    /// single rejection, and live tracing costs ≤ 5% throughput.
+    /// single rejection, and live tracing emits exactly the events the
+    /// fan-out path defines without a single extra heap allocation.
     pub fn gates(&self) -> Vec<(&'static str, bool)> {
         vec![
             ("copy_reduction_ge_2x", self.copy_reduction() >= 2.0),
@@ -186,10 +203,13 @@ impl FanoutResult {
                 self.ckpt_delta.fulls >= 1 && self.ckpt_delta.deltas > self.ckpt_delta.fulls,
             ),
             (
-                "trace_overhead_le_5pct",
-                self.trace_overhead_percent() <= 5.0,
+                "trace_events_per_multicast_exact",
+                self.trace_events_emitted == self.messages * TRACE_EVENTS_PER_MULTICAST,
             ),
-            ("trace_events_emitted", self.trace_events_emitted > 0),
+            (
+                "trace_allocations_equal",
+                self.allocations_traced == self.allocations_untraced,
+            ),
         ]
     }
 
@@ -241,13 +261,17 @@ impl FanoutResult {
         };
         out.push_str(&format!(
             "\nfan-out throughput: {:.0} delivered frames/s untraced, {:.0} traced \
-             ({:+.1}% overhead, {} events; wall clock, best of 3)\n\
+             ({:+.1}% overhead; wall clock, best of 3, not gated)\n\
+             tracing: {} events for {} multicasts, {} heap allocations untraced / {} traced\n\
              checkpoints: full-only {} frames / {} B; delta mode {} fulls + {} deltas / {} B, {} rejected\n\
-             gate (copy ≥2x, batch ≥1x, ckpt ≥2x, no rejects, trace ≤5%): {gate}\n",
+             gate (copy ≥2x, batch ≥1x, ckpt ≥2x, no rejects, trace events exact, no extra trace allocations): {gate}\n",
             self.throughput_frames_per_sec,
             self.throughput_traced_frames_per_sec,
             self.trace_overhead_percent(),
             self.trace_events_emitted,
+            self.messages,
+            self.allocations_untraced,
+            self.allocations_traced,
             self.ckpt_full.frames(),
             self.ckpt_full.bytes,
             self.ckpt_delta.fulls,
@@ -269,13 +293,16 @@ impl FanoutResult {
             gates.push_str(&format!("    \"{name}\": {ok}"));
         }
         format!(
-            "{{\n  \"members\": {},\n  \"messages\": {},\n  \"throughput_frames_per_sec\": {{\n    \"untraced\": {:.0},\n    \"traced\": {:.0}\n  }},\n  \"trace_overhead_percent\": {:.2},\n  \"trace_events_emitted\": {},\n  \"gates\": {{\n{}\n  }},\n  \"gate_passed\": {}\n}}\n",
+            "{{\n  \"members\": {},\n  \"messages\": {},\n  \"throughput_frames_per_sec\": {{\n    \"untraced\": {:.0},\n    \"traced\": {:.0}\n  }},\n  \"trace_overhead_percent\": {:.2},\n  \"trace_events_emitted\": {},\n  \"trace_events_expected\": {},\n  \"heap_allocations\": {{\n    \"untraced\": {},\n    \"traced\": {}\n  }},\n  \"gates\": {{\n{}\n  }},\n  \"gate_passed\": {}\n}}\n",
             self.members,
             self.messages,
             self.throughput_frames_per_sec,
             self.throughput_traced_frames_per_sec,
             self.trace_overhead_percent(),
             self.trace_events_emitted,
+            self.messages * TRACE_EVENTS_PER_MULTICAST,
+            self.allocations_untraced,
+            self.allocations_traced,
             gates,
             self.passes_gate()
         )
@@ -318,10 +345,22 @@ fn endpoint(members: u64, config: GroupConfig) -> Endpoint {
     e
 }
 
+/// What one fan-out run measured.
+struct FanoutRun {
+    /// Bulk (payload-sized) bytes allocated.
+    copied: u64,
+    /// Heap allocation calls.
+    allocations: u64,
+    /// Data frames handed out for the peers.
+    frames: u64,
+    /// Wall-clock duration.
+    secs: f64,
+}
+
 /// One fan-out run: `msgs` multicasts to `MEMBERS - 1` peers, optionally
 /// deep-copying each per-destination payload the way the data plane did
 /// before the encode-once refactor, optionally instrumented.
-fn measure_fanout(msgs: u64, copy_per_member: bool, obs: Option<ObsHandle>) -> (u64, u64, f64) {
+fn measure_fanout(msgs: u64, copy_per_member: bool, obs: Option<ObsHandle>) -> FanoutRun {
     let mut e = endpoint(MEMBERS, GroupConfig::default());
     if let Some(obs) = obs {
         e.set_obs(obs);
@@ -329,6 +368,7 @@ fn measure_fanout(msgs: u64, copy_per_member: bool, obs: Option<ObsHandle>) -> (
     let mut frames = 0u64;
     let start = Instant::now();
     let before = BULK_BYTES.load(Ordering::Relaxed);
+    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
     for i in 0..msgs {
         let payload = Bytes::from(vec![i as u8; FANOUT_PAYLOAD]);
         let outputs = e
@@ -348,12 +388,17 @@ fn measure_fanout(msgs: u64, copy_per_member: bool, obs: Option<ObsHandle>) -> (
             }
         }
     }
-    let copied = BULK_BYTES.load(Ordering::Relaxed) - before;
-    (copied, frames, start.elapsed().as_secs_f64())
+    FanoutRun {
+        copied: BULK_BYTES.load(Ordering::Relaxed) - before,
+        allocations: ALLOC_CALLS.load(Ordering::Relaxed) - calls_before,
+        frames,
+        secs: start.elapsed().as_secs_f64(),
+    }
 }
 
 /// Modeled wire bytes per application message at the given batching limit
-/// (1 = batching off).
+/// (1 = batching off): `group.wire_bytes` over one copy of each message
+/// per peer. The run sends no retransmits, which that counter leaves out.
 fn wire_bytes_per_message(batch: usize, msgs: u64) -> f64 {
     let mut e = endpoint(MEMBERS, GroupConfig::default().batch_max_messages(batch));
     for i in 0..msgs {
@@ -366,8 +411,8 @@ fn wire_bytes_per_message(batch: usize, msgs: u64) -> f64 {
             .expect("bootstrapped member can multicast");
     }
     let _ = e.handle_timer(SimTime::ZERO, GroupTimer::BatchFlush);
-    let stats = e.stats();
-    stats.wire_bytes_sent as f64 / stats.data_msgs_sent.max(1) as f64
+    let wire_bytes = e.obs().metrics.counter(Ctr::GroupWireBytes);
+    wire_bytes as f64 / (msgs * (MEMBERS - 1)).max(1) as f64
 }
 
 /// Runs the warm-passive Fig. 6/7 testbed to completion and totals the
@@ -413,32 +458,37 @@ fn measure_checkpoints(full_every: u32, requests: u64, seed: u64) -> CheckpointT
 pub fn run(requests: u64, seed: u64) -> FanoutResult {
     let msgs = requests.clamp(100, 5_000);
     let ckpt_requests = requests.clamp(100, 1_000);
-    let (baseline_bytes, baseline_frames, _) = measure_fanout(msgs, true, None);
-    let (shared_bytes, shared_frames, _) = measure_fanout(msgs, false, None);
-    // Wall-clock comparison, best of three interleaved runs per mode so a
-    // scheduling hiccup on a shared CI machine cannot fake an overhead.
+    let baseline = measure_fanout(msgs, true, None);
+    let shared = measure_fanout(msgs, false, None);
+    // Three interleaved runs per mode. The wall-clock figure keeps the
+    // best of three; the event and allocation counts are deterministic,
+    // and the gates read the last pair.
+    let rate = |run: &FanoutRun| run.frames as f64 / run.secs.max(1e-9);
     let mut untraced = 0.0f64;
     let mut traced = 0.0f64;
     let mut trace_events_emitted = 0;
+    let mut allocations = (0, 0);
     for _ in 0..3 {
-        let (_, frames, secs) = measure_fanout(msgs, false, None);
-        untraced = untraced.max(frames as f64 / secs.max(1e-9));
+        let plain = measure_fanout(msgs, false, None);
+        untraced = untraced.max(rate(&plain));
         let sink = Arc::new(TraceSink::enabled());
-        let (_, frames, secs) =
-            measure_fanout(msgs, false, Some(Obs::with_trace(Arc::clone(&sink))));
-        traced = traced.max(frames as f64 / secs.max(1e-9));
+        let instrumented = measure_fanout(msgs, false, Some(Obs::with_trace(Arc::clone(&sink))));
+        traced = traced.max(rate(&instrumented));
         trace_events_emitted = sink.total_emitted();
+        allocations = (plain.allocations, instrumented.allocations);
     }
     let ckpt_full = measure_checkpoints(1, ckpt_requests, seed);
     let ckpt_delta = measure_checkpoints(8, ckpt_requests, seed);
     FanoutResult {
         members: MEMBERS,
         messages: msgs,
-        copied_per_msg_baseline: baseline_bytes as f64 / baseline_frames.max(1) as f64,
-        copied_per_msg_shared: shared_bytes as f64 / shared_frames.max(1) as f64,
+        copied_per_msg_baseline: baseline.copied as f64 / baseline.frames.max(1) as f64,
+        copied_per_msg_shared: shared.copied as f64 / shared.frames.max(1) as f64,
         throughput_frames_per_sec: untraced,
         throughput_traced_frames_per_sec: traced,
         trace_events_emitted,
+        allocations_untraced: allocations.0,
+        allocations_traced: allocations.1,
         wire_per_msg_unbatched: wire_bytes_per_message(1, msgs),
         wire_per_msg_batched: wire_bytes_per_message(8, msgs),
         ckpt_full,
@@ -488,8 +538,12 @@ mod tests {
             copied_per_msg_baseline: 4096.0,
             copied_per_msg_shared: 700.0,
             throughput_frames_per_sec: 1e6,
-            throughput_traced_frames_per_sec: 0.97e6,
-            trace_events_emitted: 100,
+            // Wall clock is reported, not gated: a traced run 20% slower
+            // than the untraced one still passes.
+            throughput_traced_frames_per_sec: 0.8e6,
+            trace_events_emitted: 100 * TRACE_EVENTS_PER_MULTICAST,
+            allocations_untraced: 400,
+            allocations_traced: 400,
             wire_per_msg_unbatched: 104.0,
             wire_per_msg_batched: 81.0,
             ckpt_full: CheckpointTransfer {
@@ -520,11 +574,40 @@ mod tests {
         for key in [
             "trace_overhead_percent",
             "trace_events_emitted",
-            "trace_overhead_le_5pct",
+            "trace_events_expected",
+            "heap_allocations",
+            "trace_events_per_multicast_exact",
+            "trace_allocations_equal",
             "gate_passed",
         ] {
             assert!(pr3.contains(key), "missing {key} in {pr3}");
         }
+        assert!(!pr3.contains("trace_overhead_le_5pct"), "{pr3}");
         assert!(result.failing_gates().is_empty());
+        // Either trace gate fails on a single event or allocation more.
+        let extra_event = FanoutResult {
+            trace_events_emitted: result.trace_events_emitted + 1,
+            ..result.clone()
+        };
+        assert_eq!(
+            extra_event.failing_gates(),
+            ["trace_events_per_multicast_exact"]
+        );
+        let extra_alloc = FanoutResult {
+            allocations_traced: result.allocations_untraced + 1,
+            ..result
+        };
+        assert_eq!(extra_alloc.failing_gates(), ["trace_allocations_equal"]);
+    }
+
+    /// The fan-out path emits exactly its declared events per multicast;
+    /// the allocation half of the trace gate needs the counting allocator
+    /// and runs only in the `experiments` binary.
+    #[test]
+    fn traced_fanout_emits_the_declared_events_per_multicast() {
+        let sink = Arc::new(TraceSink::enabled());
+        let run = measure_fanout(50, false, Some(Obs::with_trace(Arc::clone(&sink))));
+        assert_eq!(run.frames, 50 * (MEMBERS - 1));
+        assert_eq!(sink.total_emitted(), 50 * TRACE_EVENTS_PER_MULTICAST);
     }
 }

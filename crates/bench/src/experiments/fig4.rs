@@ -7,6 +7,7 @@
 //! adds little; the replication mechanisms add latency and jitter.
 
 use vd_core::style::ReplicationStyle;
+use vd_orb::sim::ClientActor;
 use vd_simnet::time::SimDuration;
 
 use crate::report::{micros, Table};
@@ -57,12 +58,13 @@ fn measure_baseline(
     requests: u64,
     seed: u64,
 ) -> ModeResult {
-    let (mut world, _client, _server) = build_baseline(mode, requests, seed);
+    let (mut world, client, _server) = build_baseline(mode, requests, seed);
     world.run_for(SimDuration::from_secs(2 + requests / 500));
     let h = world
-        .metrics()
-        .histogram_ref("baseline.rtt")
-        .expect("rtt recorded");
+        .actor_ref::<ClientActor>(client)
+        .expect("the baseline client")
+        .driver()
+        .rtt();
     ModeResult {
         mode: label,
         mean_micros: h.mean_micros_f64(),

@@ -68,6 +68,9 @@ impl Fig6Result {
     }
 }
 
+/// The replicated object group.
+const GROUP: GroupId = GroupId(1);
+
 /// Spawns the three-replica group; returns replica pids.
 fn spawn_group(world: &mut World, adaptive: bool) -> Vec<ProcessId> {
     let members: Vec<ProcessId> = (0..3u64).map(ProcessId).collect();
@@ -75,8 +78,7 @@ fn spawn_group(world: &mut World, adaptive: bool) -> Vec<ProcessId> {
     for i in 0..3u32 {
         let config = ReplicaConfig {
             knobs: LowLevelKnobs::default().style(ReplicationStyle::WarmPassive),
-            metrics_prefix: format!("replica{i}"),
-            ..ReplicaConfig::for_group(GroupId(1))
+            ..ReplicaConfig::for_group(GROUP)
         };
         let mut actor = ReplicaActor::bootstrap(
             ProcessId(i as u64),
@@ -101,26 +103,29 @@ pub fn run_timeline(duration_secs: u64, peak_rate: f64, seed: u64) -> Fig6Result
     let stop = SimTime::ZERO + total;
     world.spawn(
         NodeId(3),
-        Box::new(OpenLoopClientActor::new(
-            replicas[0],
-            profile,
-            256,
-            "fig6.rtt",
-            stop,
-        )),
+        Box::new(OpenLoopClientActor::new(replicas[0], profile, 256, stop)),
     );
-    world.run_for(total + SimDuration::from_secs(1));
-
-    let rate_series = world
-        .metrics()
-        .series_ref("replica0.rate")
-        .map(|s| {
-            s.points()
-                .iter()
-                .map(|&(t, v)| (t.as_secs_f64(), v))
-                .collect()
-        })
-        .unwrap_or_default();
+    // Each policy tick overwrites the replica's last observations, and
+    // ticks are at least one policy interval apart: sampling after every
+    // half-interval slice sees each tick exactly once. Slicing does not
+    // change the run (`run_until` only steps events up to its deadline).
+    let end = SimTime::ZERO + total + SimDuration::from_secs(1);
+    let slice = ReplicaConfig::for_group(GROUP).policy_interval / 2;
+    let mut rate_series = Vec::new();
+    let mut last_tick = None;
+    while world.now() < end {
+        world.run_until((world.now() + slice).min(end));
+        let tick = world
+            .actor_ref::<ReplicaActor>(replicas[0])
+            .and_then(|r| r.replication(GROUP))
+            .and_then(|g| g.last_observations());
+        if let Some(obs) = tick {
+            if last_tick != Some(obs.at) {
+                last_tick = Some(obs.at);
+                rate_series.push((obs.at.as_secs_f64(), obs.request_rate));
+            }
+        }
+    }
     let style_timeline = world
         .actor_ref::<ReplicaActor>(replicas[0])
         .map(|r| {
@@ -153,13 +158,7 @@ fn comparison(duration_secs: u64, peak_rate: f64, seed: u64) -> (u64, u64) {
         let stop = SimTime::ZERO + total;
         let client = world.spawn(
             NodeId(3),
-            Box::new(OpenLoopClientActor::new(
-                replicas[0],
-                profile,
-                256,
-                "cmp.rtt",
-                stop,
-            )),
+            Box::new(OpenLoopClientActor::new(replicas[0], profile, 256, stop)),
         );
         world.run_for(total + SimDuration::from_millis(500));
         world

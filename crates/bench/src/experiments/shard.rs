@@ -263,7 +263,6 @@ fn run_scale(groups: usize, requests_total: u64, seed: u64) -> ShardScale {
                     knobs: LowLevelKnobs::default()
                         .style(ReplicationStyle::WarmPassive)
                         .num_replicas(3),
-                    metrics_prefix: format!("shard.n{node}.g{}", group.0),
                     obs: Obs::for_group(group.0, Arc::clone(&sink)),
                     ..ReplicaConfig::for_group(*group)
                 },
@@ -288,7 +287,6 @@ fn run_scale(groups: usize, requests_total: u64, seed: u64) -> ShardScale {
             NodeId((server_nodes + c) as u32),
             *group,
             members,
-            format!("shard.c{c}.rtt"),
             per_client,
             (c / groups) % 3,
         );
@@ -310,10 +308,10 @@ fn run_scale(groups: usize, requests_total: u64, seed: u64) -> ShardScale {
     // Per-group p99 over the measured phase.
     let per_group_p99_us = (0..groups)
         .map(|g| {
-            let mut merged = vd_simnet::metrics::Histogram::new();
-            for (c, _) in clients.iter().enumerate().filter(|(c, _)| c % groups == g) {
-                if let Some(h) = world.metrics().histogram_ref(&format!("shard.c{c}.rtt")) {
-                    merged.merge(h);
+            let mut merged = Histogram::new();
+            for (pid, _) in clients.iter().skip(g).step_by(groups) {
+                if let Some(client) = world.actor_ref::<ReplicatedClientActor>(*pid) {
+                    merged.merge(client.driver().rtt());
                 }
             }
             merged.quantile(0.99).as_micros() as f64
@@ -332,7 +330,6 @@ fn run_scale(groups: usize, requests_total: u64, seed: u64) -> ShardScale {
             NodeId((server_nodes + CLIENTS + i) as u32),
             *group,
             members,
-            format!("shard.sw{i}.rtt"),
             60,
             0,
         );
@@ -398,7 +395,6 @@ fn spawn_client(
     node: NodeId,
     group: GroupId,
     members: &[ProcessId],
-    rtt_metric: String,
     total: u64,
     initial_gateway: usize,
 ) -> ProcessId {
@@ -414,7 +410,6 @@ fn spawn_client(
         .with_group(group, members.to_vec());
     let config = ReplicatedClientConfig {
         directory,
-        rtt_metric,
         initial_gateway,
         ..ReplicatedClientConfig::default()
     };

@@ -177,7 +177,6 @@ fn spawn_group(world: &mut World, sink: &Arc<TraceSink>) -> (Vec<ProcessId>, Vec
         handles.push(obs.clone());
         let config = ReplicaConfig {
             knobs: LowLevelKnobs::default().style(ReplicationStyle::WarmPassive),
-            metrics_prefix: format!("replica{i}"),
             obs,
             ..ReplicaConfig::for_group(GroupId(1))
         };
@@ -204,13 +203,7 @@ pub fn run(duration_secs: u64, peak_rate: f64, seed: u64) -> TraceResult {
     let stop = SimTime::ZERO + total;
     world.spawn(
         NodeId(3),
-        Box::new(OpenLoopClientActor::new(
-            replicas[0],
-            profile,
-            256,
-            "trace.rtt",
-            stop,
-        )),
+        Box::new(OpenLoopClientActor::new(replicas[0], profile, 256, stop)),
     );
     world.run_for(total + SimDuration::from_secs(1));
     TraceResult {

@@ -11,7 +11,7 @@ use vd_core::replica::{ReplicaActor, ReplicaConfig};
 use vd_core::style::ReplicationStyle;
 use vd_group::detector::DetectorConfig;
 use vd_group::message::GroupId;
-use vd_obs::{Obs, ObsHandle, TraceSink};
+use vd_obs::{Ctr, Obs, ObsHandle, TraceSink};
 use vd_orb::interceptor::Passthrough;
 use vd_orb::object::{ObjectAdapter, ObjectKey};
 use vd_orb::sim::{ClientActor, DriverConfig, OrbCosts, RequestDriver, ServerActor};
@@ -181,28 +181,29 @@ impl Testbed {
         (0..self.clients.len()).map(|i| self.completed(i)).sum()
     }
 
-    /// The merged client round-trip histogram.
-    pub fn merged_rtt(&self) -> vd_simnet::metrics::Histogram {
-        let mut merged = vd_simnet::metrics::Histogram::new();
-        for i in 0..self.clients.len() {
-            if let Some(h) = self
-                .world
-                .metrics()
-                .histogram_ref(&format!("client{i}.rtt"))
-            {
-                merged.merge(h);
+    /// Every client's round trips in one histogram, merged in client
+    /// order.
+    pub fn merged_rtt(&self) -> Histogram {
+        let mut merged = Histogram::new();
+        for &pid in &self.clients {
+            if let Some(client) = self.world.actor_ref::<ReplicatedClientActor>(pid) {
+                merged.merge(client.driver().rtt());
             }
         }
         merged
     }
 
-    /// Total network bandwidth over the run so far, in MB/s.
+    /// Mean network bandwidth since time zero, in MB/s: the world's
+    /// `simnet.net_bytes` over the elapsed virtual time (0.0 before any
+    /// time has passed).
     pub fn bandwidth_mbps(&self) -> f64 {
-        self.world
-            .metrics()
-            .bandwidth_ref(NET_BANDWIDTH)
-            .map(|m| m.mbytes_per_sec(self.world.now()))
-            .unwrap_or(0.0)
+        let bytes = self.world.obs().metrics.counter(Ctr::SimNetBytes);
+        let elapsed_s = self.world.now().duration_since(SimTime::ZERO).as_secs_f64();
+        if elapsed_s <= 0.0 {
+            0.0
+        } else {
+            (bytes as f64 / elapsed_s) / 1e6
+        }
     }
 }
 
@@ -240,16 +241,14 @@ pub fn build_replicated(config: &TestbedConfig) -> Testbed {
             group_config: vd_group::config::GroupConfig::default()
                 .failure_timeout(config.failure_timeout)
                 .min_view(config.min_view.max(1)),
-            metrics_prefix: format!("replica{i}"),
             obs: replica_obs,
             managers: manager_pids.clone(),
             ..ReplicaConfig::for_group(config.group)
         };
         if recovery_replica_config.is_none() {
             // Template for manager-spawned replacements: same knobs and
-            // group tuning, fresh metrics prefix, no dedicated registry.
+            // group tuning, no dedicated registry.
             recovery_replica_config = Some(ReplicaConfig {
-                metrics_prefix: "replacement".into(),
                 obs: new_obs(),
                 ..replica_config.clone()
             });
@@ -282,7 +281,6 @@ pub fn build_replicated(config: &TestbedConfig) -> Testbed {
         });
         let client_config = ReplicatedClientConfig {
             replicas: replicas.clone(),
-            rtt_metric: format!("client{c}.rtt"),
             initial_gateway: c % config.replicas,
             ..ReplicatedClientConfig::default()
         };
@@ -377,12 +375,7 @@ pub fn build_baseline(
         request_bytes: 256,
         ..DriverConfig::default()
     });
-    let mut client = ClientActor::new(
-        server_pid,
-        driver,
-        OrbCosts::paper_calibrated(),
-        "baseline.rtt",
-    );
+    let mut client = ClientActor::new(server_pid, driver, OrbCosts::paper_calibrated());
     if matches!(mode, InterceptMode::ClientOnly | InterceptMode::Both) {
         client = client.with_interceptor(Box::new(Passthrough::new()));
     }
@@ -428,7 +421,7 @@ mod tests {
             let executed: Vec<u64> = bed
                 .obs
                 .iter()
-                .map(|o| o.metrics.counter(vd_obs::Ctr::RepExecuted))
+                .map(|o| o.metrics.counter(Ctr::RepExecuted))
                 .collect();
             assert_eq!(executed, executions, "{style:?}");
             // Each heartbeat round sends one frame to each peer, and a
@@ -455,6 +448,34 @@ mod tests {
         }
     }
 
+    /// perfbench's simulator workload takes its latency and late count
+    /// from `merged_rtt()`: an empty histogram would read a p50 of 0.
+    #[test]
+    fn merged_rtt_holds_one_sample_per_completed_request() {
+        for style in [ReplicationStyle::Active, ReplicationStyle::WarmPassive] {
+            let config = TestbedConfig {
+                replicas: 3,
+                clients: 2,
+                requests_per_client: 40,
+                style,
+                ..TestbedConfig::default()
+            };
+            let mut bed = build_replicated(&config);
+            bed.world.run_for(SimDuration::from_secs(2));
+            let mut rtt = bed.merged_rtt();
+            assert_eq!(bed.total_completed(), 80, "{style:?}");
+            assert_eq!(rtt.count() as u64, bed.total_completed(), "{style:?}");
+            assert!(rtt.quantile(0.5) > SimDuration::ZERO, "{style:?}");
+        }
+    }
+
+    #[test]
+    fn bandwidth_is_zero_before_time_passes() {
+        let bed = build_replicated(&TestbedConfig::default());
+        assert_eq!(bed.world.now(), SimTime::ZERO);
+        assert_eq!(bed.bandwidth_mbps(), 0.0);
+    }
+
     #[test]
     fn baseline_modes_build_and_run() {
         for mode in [
@@ -473,13 +494,10 @@ mod tests {
     #[test]
     fn interposition_modes_are_ordered_by_overhead() {
         let mean = |mode| {
-            let (mut world, _c, _s) = build_baseline(mode, 200, 3);
+            let (mut world, client, _s) = build_baseline(mode, 200, 3);
             world.run_for(SimDuration::from_secs(2));
-            world
-                .metrics()
-                .histogram_ref("baseline.rtt")
-                .unwrap()
-                .mean_micros_f64()
+            let c = world.actor_ref::<ClientActor>(client).unwrap();
+            c.driver().rtt().mean_micros_f64()
         };
         let none = mean(InterceptMode::None);
         let client = mean(InterceptMode::ClientOnly);

@@ -118,9 +118,7 @@ pub struct OpenLoopClientActor {
     pub issued: u64,
     /// Replies received (inspection).
     pub served: u64,
-    /// Histogram name for round trips.
-    pub rtt_metric: String,
-    /// Time-series name for the served rate (sampled on replies).
+    /// When the generator stops issuing requests.
     pub stop_at: SimTime,
 }
 
@@ -130,7 +128,6 @@ impl OpenLoopClientActor {
         gateway: ProcessId,
         profile: RateProfile,
         request_bytes: usize,
-        rtt_metric: impl Into<String>,
         stop_at: SimTime,
     ) -> Self {
         OpenLoopClientActor {
@@ -142,15 +139,8 @@ impl OpenLoopClientActor {
             tracker: RequestTracker::new(),
             issued: 0,
             served: 0,
-            rtt_metric: "openloop.rtt".into(),
             stop_at,
         }
-        .with_metric(rtt_metric)
-    }
-
-    fn with_metric(mut self, metric: impl Into<String>) -> Self {
-        self.rtt_metric = metric.into();
-        self
     }
 
     fn schedule_next(&mut self, ctx: &mut Context<'_>) {
@@ -187,20 +177,15 @@ impl Actor for OpenLoopClientActor {
         self.schedule_next(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ProcessId, payload: Box<dyn Payload>) {
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, payload: Box<dyn Payload>) {
         let Ok(msg) = downcast_payload::<OrbMessage>(payload) else {
             return;
         };
         let OrbMessage::Reply(reply) = *msg else {
             return;
         };
-        let sent = self.tracker.sent_at(reply.request_id);
         if let ReplyOutcome::Accepted(_) = self.tracker.on_reply(reply) {
             self.served += 1;
-            if let Some(sent) = sent {
-                let rtt = ctx.now() - sent;
-                ctx.metrics().histogram(&self.rtt_metric).record(rtt);
-            }
         }
     }
 

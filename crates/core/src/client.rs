@@ -52,8 +52,6 @@ pub struct ReplicatedClientConfig {
     /// up (counted in [`ReplicatedClientActor::gave_up`]) and moves on
     /// with its workload.
     pub retry_budget: u32,
-    /// Histogram name under which round trips are recorded.
-    pub rtt_metric: String,
     /// Index into `replicas` of the first gateway used (stagger this
     /// across clients to spread dissemination work).
     pub initial_gateway: usize,
@@ -69,7 +67,6 @@ impl Default for ReplicatedClientConfig {
             retry_timeout: SimDuration::from_millis(200),
             retry_backoff_cap: SimDuration::from_secs(2),
             retry_budget: 16,
-            rtt_metric: "client.rtt".into(),
             initial_gateway: 0,
         }
     }
@@ -129,7 +126,8 @@ impl ReplicatedClientActor {
         }
     }
 
-    /// The embedded request driver (inspection).
+    /// The embedded request driver (inspection), which keeps the
+    /// round-trip samples ([`RequestDriver::rtt`]).
     pub fn driver(&self) -> &RequestDriver {
         &self.driver
     }
@@ -254,9 +252,8 @@ impl Actor for ReplicatedClientActor {
         };
         ctx.use_cpu(self.config.costs.marshal);
         let completed_at = ctx.now() + ctx.cpu_used();
-        if let Some(rtt) = self.driver.on_reply(completed_at, reply) {
+        if self.driver.on_reply(completed_at, reply).is_some() {
             self.outstanding = None;
-            ctx.metrics().histogram(&self.config.rtt_metric).record(rtt);
             if self.driver.is_done() {
                 return;
             }

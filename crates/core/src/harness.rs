@@ -139,7 +139,7 @@ fn request(object: &str, request_id: u64) -> OrbMessage {
     })
 }
 
-fn replica_config(group: GroupId, prefix: &str) -> ReplicaConfig {
+fn replica_config(group: GroupId) -> ReplicaConfig {
     ReplicaConfig {
         knobs: LowLevelKnobs::default()
             .style(ReplicationStyle::Active)
@@ -149,7 +149,6 @@ fn replica_config(group: GroupId, prefix: &str) -> ReplicaConfig {
         // behavior the no-rump-primary invariant pins down.
         group_config: GroupConfig::default().min_view(2),
         managers: vec![MANAGER],
-        metrics_prefix: prefix.into(),
         ..ReplicaConfig::for_group(group)
     }
 }
@@ -169,7 +168,7 @@ pub fn recovery_world() -> World {
                 ProcessId(u64::from(i)),
                 members.clone(),
                 Box::new(Counter { value: 0 }),
-                replica_config(GROUP_A, &format!("r{i}")),
+                replica_config(GROUP_A),
             )),
         );
         assert_eq!(pid, ProcessId(u64::from(i)));
@@ -184,7 +183,7 @@ pub fn recovery_world() -> World {
         backoff_cap: SimDuration::from_millis(200),
         max_attempts: 6,
         peers: vec![MANAGER],
-        ..RecoveryConfig::for_replica(replica_config(GROUP_A, "spawned"))
+        ..RecoveryConfig::for_replica(replica_config(GROUP_A))
     };
     let pid = world.spawn(
         NodeId(3),
@@ -345,12 +344,12 @@ pub fn cohosted_world() -> World {
                 HostedGroup {
                     membership: GroupMembership::Bootstrap(members.clone()),
                     app: Box::new(Counter { value: 0 }),
-                    config: replica_config(GROUP_A, &format!("r{i}a")),
+                    config: replica_config(GROUP_A),
                 },
                 HostedGroup {
                     membership: GroupMembership::Bootstrap(members.clone()),
                     app: Box::new(Counter { value: 0 }),
-                    config: replica_config(GROUP_B, &format!("r{i}b")),
+                    config: replica_config(GROUP_B),
                 },
             ],
             None,
@@ -434,7 +433,6 @@ pub fn laggard_switch_world() -> World {
             // Tight policy cadence so the short laggard windows between
             // delay steps are reliably sampled.
             policy_interval: SimDuration::from_millis(10),
-            metrics_prefix: format!("lg{i}"),
             ..ReplicaConfig::for_group(GROUP_A)
         };
         let mut detector = DetectorConfig::new(config.group_config.failure_timeout);

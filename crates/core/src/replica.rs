@@ -44,7 +44,7 @@ use vd_simnet::topology::ProcessId;
 use crate::engine::{Engine, EngineOp, GatewayDecision, InvokeEntry};
 use crate::knobs::LowLevelKnobs;
 use crate::messages::{CachedReply, ReplicatorMsg};
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, Observations};
 use crate::policy::{AdaptationAction, AdaptationPolicy, PolicyContext};
 use crate::repstate::{CheckpointAccounting, SystemBoard};
 use crate::state::{apply_delta_in_place, diff_state, ReplicatedApplication};
@@ -135,8 +135,6 @@ pub struct ReplicaConfig {
     /// How often this replica multicasts a monitoring report to the
     /// replicated system board (`None` disables reports).
     pub report_interval: Option<SimDuration>,
-    /// Prefix for the world-level metrics this group records.
-    pub metrics_prefix: String,
     /// Observability endpoint (trace sink + metrics registry) shared with
     /// the embedded group endpoint. Defaults to a disabled sink with a
     /// private registry; testbeds install one per group — built with
@@ -161,7 +159,6 @@ impl ReplicaConfig {
             costs: ReplicaCosts::default(),
             policy_interval: SimDuration::from_millis(20),
             report_interval: None,
-            metrics_prefix: "replica".into(),
             obs: Obs::disabled(),
             managers: Vec::new(),
         }
@@ -302,9 +299,8 @@ pub struct ReplicationEngine {
     evicted: bool,
     /// Suspicion watermark already forwarded to the recovery managers.
     reported_suspicions: u64,
-    /// The `<prefix>.rate` and `<prefix>.latency` series every policy tick
-    /// appends to.
-    series_names: [String; 2],
+    /// The measurements the last policy tick evaluated (inspection).
+    last_observations: Option<Observations>,
     /// Audit trail for the exploration invariant layer.
     #[cfg(feature = "check-invariants")]
     invariant_log: crate::invariants::InvariantLog,
@@ -357,10 +353,6 @@ impl ReplicationEngine {
         app: Box<dyn ReplicatedApplication>,
         config: ReplicaConfig,
     ) -> Self {
-        let series_names = [
-            format!("{}.rate", config.metrics_prefix),
-            format!("{}.latency", config.metrics_prefix),
-        ];
         ReplicationEngine {
             me,
             engine,
@@ -381,7 +373,7 @@ impl ReplicationEngine {
             ckpt_mirror: None,
             evicted: false,
             reported_suspicions: 0,
-            series_names,
+            last_observations: None,
             #[cfg(feature = "check-invariants")]
             invariant_log: crate::invariants::InvariantLog::default(),
         }
@@ -413,6 +405,13 @@ impl ReplicationEngine {
     /// Style transitions observed, with their completion times.
     pub fn style_history(&self) -> &[(SimTime, ReplicationStyle)] {
         &self.style_history
+    }
+
+    /// The measurements the most recent policy tick evaluated, or `None`
+    /// before the first tick. Each tick overwrites the last: a caller
+    /// that wants the series samples this between ticks.
+    pub fn last_observations(&self) -> Option<&Observations> {
+        self.last_observations.as_ref()
     }
 
     /// Policy directives requiring an external actuator.
@@ -828,10 +827,7 @@ impl ReplicationEngine {
                     // Styles hand the checkpointing role around; restart
                     // the delta chain from a full snapshot to be safe.
                     self.ckpt_sent = None;
-                    let now = ctx.now();
-                    self.style_history.push((now, to));
-                    let metric = format!("{}.style", self.config.metrics_prefix);
-                    ctx.metrics().series(&metric).push(now, to.to_tag() as f64);
+                    self.style_history.push((ctx.now(), to));
                     self.config.obs.metrics.incr(Ctr::StyleSwitches);
                     self.config
                         .obs
@@ -1245,13 +1241,7 @@ impl ReplicationEngine {
         let laggard_backups = laggards.iter().filter(|&&p| Some(p) != primary).count();
         self.monitor.set_laggards(laggards.len());
         let obs = self.monitor.observe(ctx.now());
-        let [rate_metric, latency_metric] = &self.series_names;
-        ctx.metrics()
-            .series(rate_metric)
-            .push(obs.at, obs.request_rate);
-        ctx.metrics()
-            .series(latency_metric)
-            .push(obs.at, obs.latency_micros);
+        self.last_observations = Some(obs);
         let policy_ctx = PolicyContext {
             style: self.engine.style(),
             replicas: self.engine.members().len(),
@@ -1363,7 +1353,8 @@ impl ReplicationEngine {
     /// Deliberately excluded as inspection-only (they never feed back
     /// into protocol decisions within one bounded exploration): `config`,
     /// `monitor`, `board`, `policies`, `style_history`, `directives`,
-    /// `executed_requests`, `checkpoints`, `request_arrivals`.
+    /// `executed_requests`, `checkpoints`, `request_arrivals`,
+    /// `last_observations`.
     pub(crate) fn fold_digest(&self, h: &mut Fnv64) {
         h.write_u64(self.me.0);
         h.write_u64(self.engine.state_digest());

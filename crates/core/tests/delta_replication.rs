@@ -82,7 +82,6 @@ fn cluster(n_replicas: u32, knobs: LowLevelKnobs, seed: u64) -> Cluster {
     });
     let client_config = ReplicatedClientConfig {
         replicas: replicas.clone(),
-        rtt_metric: "client.rtt".into(),
         retry_timeout: SimDuration::from_millis(150),
         ..ReplicatedClientConfig::default()
     };

@@ -100,7 +100,6 @@ fn majority_voting_masks_a_value_faulty_replica() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "vote.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -141,7 +140,6 @@ fn first_response_selection_can_surface_the_lie() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "first.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -171,7 +169,6 @@ fn replica_joins_at_runtime_and_syncs_state() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "join.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -237,19 +234,22 @@ fn timing_fault_is_masked_by_active_replication() {
             total: Some(150),
             ..DriverConfig::default()
         });
-        world.spawn(
+        let client = world.spawn(
             NodeId(3),
             Box::new(ReplicatedClientActor::new(
                 driver,
                 ReplicatedClientConfig {
                     replicas: replicas.clone(),
-                    rtt_metric: "tf.rtt".into(),
                     ..ReplicatedClientConfig::default()
                 },
             )),
         );
         world.run_for(SimDuration::from_secs(20));
-        let h = world.metrics().histogram_ref("tf.rtt").unwrap();
+        let h = world
+            .actor_ref::<ReplicatedClientActor>(client)
+            .unwrap()
+            .driver()
+            .rtt();
         (h.count() as u64, h.mean_micros_f64())
     };
     let (n_fast, lat_fast) = run(false);
@@ -282,7 +282,6 @@ fn replica_leaves_gracefully_at_runtime() {
             ReplicatedClientConfig {
                 // The leaver is not used as a gateway, so no retries needed.
                 replicas: vec![replicas[0], replicas[1]],
-                rtt_metric: "leave.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -385,7 +384,6 @@ fn system_boards_converge_across_replicas() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "board.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),

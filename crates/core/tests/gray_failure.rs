@@ -130,7 +130,6 @@ fn drive_load(world: &mut World, gateways: Vec<ProcessId>, total: u64) -> Proces
             driver,
             ReplicatedClientConfig {
                 replicas: gateways,
-                rtt_metric: "gray.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),

@@ -61,14 +61,13 @@ fn group_config() -> GroupConfig {
     GroupConfig::default().min_view(2)
 }
 
-fn hosted(group: GroupId, members: Vec<ProcessId>, prefix: &str) -> HostedGroup {
+fn hosted(group: GroupId, members: Vec<ProcessId>) -> HostedGroup {
     HostedGroup {
         membership: GroupMembership::Bootstrap(members),
         app: Box::new(Counter { value: 0 }),
         config: ReplicaConfig {
             knobs: LowLevelKnobs::default().style(ReplicationStyle::Active),
             group_config: group_config(),
-            metrics_prefix: prefix.into(),
             ..ReplicaConfig::for_group(group)
         },
     }
@@ -93,7 +92,6 @@ fn client(
         .with_group(group, gateways);
     let config = ReplicatedClientConfig {
         directory,
-        rtt_metric: format!("{object}.rtt"),
         ..ReplicatedClientConfig::default()
     };
     world.spawn(
@@ -127,16 +125,16 @@ fn fault_storm_on_group_a_leaves_group_b_undisturbed() {
     );
     // Process 0: A only. Processes 1, 2: both groups. Process 3: B only.
     let actors: Vec<Vec<HostedGroup>> = vec![
-        vec![hosted(GROUP_A, a_members.clone(), "r0a")],
+        vec![hosted(GROUP_A, a_members.clone())],
         vec![
-            hosted(GROUP_A, a_members.clone(), "r1a"),
-            hosted(GROUP_B, b_members.clone(), "r1b"),
+            hosted(GROUP_A, a_members.clone()),
+            hosted(GROUP_B, b_members.clone()),
         ],
         vec![
-            hosted(GROUP_A, a_members.clone(), "r2a"),
-            hosted(GROUP_B, b_members.clone(), "r2b"),
+            hosted(GROUP_A, a_members.clone()),
+            hosted(GROUP_B, b_members.clone()),
         ],
-        vec![hosted(GROUP_B, b_members.clone(), "r3b")],
+        vec![hosted(GROUP_B, b_members.clone())],
     ];
     for (i, groups) in actors.into_iter().enumerate() {
         let actor = ReplicaActor::host(ProcessId(i as u64), groups, None)
@@ -220,8 +218,8 @@ fn concurrent_switches_in_different_groups_hold_invariants() {
         let actor = ReplicaActor::host(
             ProcessId(i),
             vec![
-                hosted(GROUP_A, members.clone(), &format!("r{i}a")),
-                hosted(GROUP_B, members.clone(), &format!("r{i}b")),
+                hosted(GROUP_A, members.clone()),
+                hosted(GROUP_B, members.clone()),
             ],
             None,
         )

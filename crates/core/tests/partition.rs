@@ -83,7 +83,6 @@ fn partitioned_primary_self_evicts_and_degree_is_restored() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "part.rtt".into(),
                 retry_timeout: SimDuration::from_millis(150),
                 ..ReplicatedClientConfig::default()
             },

@@ -100,7 +100,6 @@ fn fixture(
         });
         let config = ReplicatedClientConfig {
             replicas: replicas.clone(),
-            rtt_metric: format!("client{c}.rtt"),
             retry_timeout: SimDuration::from_millis(150),
             ..ReplicatedClientConfig::default()
         };

@@ -92,7 +92,6 @@ fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) 
         });
         let config = ReplicatedClientConfig {
             replicas: replicas.clone(),
-            rtt_metric: format!("client{c}.rtt"),
             retry_timeout: SimDuration::from_millis(150),
             ..ReplicatedClientConfig::default()
         };
@@ -115,6 +114,14 @@ fn completed(world: &World, client: ProcessId) -> u64 {
         .unwrap()
         .driver()
         .completed()
+}
+
+fn rtt(world: &World, client: ProcessId) -> &Histogram {
+    world
+        .actor_ref::<ReplicatedClientActor>(client)
+        .unwrap()
+        .driver()
+        .rtt()
 }
 
 fn replica_state(world: &World, replica: ProcessId) -> Bytes {
@@ -142,7 +149,7 @@ fn active_replication_serves_a_full_cycle() {
     }
     // …and the client saw exactly one reply per request despite three
     // repliers (first-response dedup).
-    let h = c.world.metrics().histogram_ref("client0.rtt").unwrap();
+    let h = rtt(&c.world, c.clients[0]);
     assert_eq!(h.count(), 200);
 }
 
@@ -362,7 +369,6 @@ fn rate_policy_triggers_automatic_switch_end_to_end() {
         });
         let config = ReplicatedClientConfig {
             replicas: replicas.clone(),
-            rtt_metric: format!("c{cidx}.rtt"),
             ..ReplicatedClientConfig::default()
         };
         world.spawn(
@@ -432,7 +438,7 @@ fn same_seed_same_outcome() {
     let run = |seed: u64| -> (u64, f64) {
         let mut c = cluster(3, 1, ReplicationStyle::Active, seed);
         c.world.run_for(SimDuration::from_secs(5));
-        let h = c.world.metrics().histogram_ref("client0.rtt").unwrap();
+        let h = rtt(&c.world, c.clients[0]);
         (h.count() as u64, h.mean_micros_f64())
     };
     assert_eq!(run(42), run(42));

@@ -75,46 +75,21 @@ struct InstallRecord {
     next_global: u64,
 }
 
-/// Counters the data plane maintains so benchmarks and regression tests can
-/// observe copy and fan-out behaviour without instrumenting the host.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DataPlaneStats {
-    /// Data-carrying frames handed to the host (`Data`, `DataBatch`,
-    /// `Retransmit`), counting each destination copy.
-    pub data_frames_sent: u64,
-    /// Application messages inside those frames (a batch of N counts N).
-    pub data_msgs_sent: u64,
-    /// Modeled wire bytes of those frames (header + payload cost model).
-    pub wire_bytes_sent: u64,
-    /// Messages delivered to the local application.
-    pub deliveries: u64,
-}
-
-impl DataPlaneStats {
-    /// Returns `true` when `msg` was a data-carrying frame (so callers
-    /// can mirror the send into the observability registry).
-    fn note_sent(&mut self, msg: &GroupMsg, copies: u64) -> bool {
-        if copies == 0 {
-            return false;
-        }
-        let msgs_per_frame = match msg {
-            GroupMsg::Data(_) | GroupMsg::Retransmit(_) => 1,
-            GroupMsg::DataBatch { msgs, .. } => msgs.len() as u64,
-            GroupMsg::Nack { .. }
-            | GroupMsg::Assign { .. }
-            | GroupMsg::AssignNack { .. }
-            | GroupMsg::JoinRequest { .. }
-            | GroupMsg::LeaveRequest { .. }
-            | GroupMsg::ViewProposal { .. }
-            | GroupMsg::FlushInfo { .. }
-            | GroupMsg::FlushCut { .. }
-            | GroupMsg::FlushDone { .. }
-            | GroupMsg::InstallView { .. } => return false,
-        };
-        self.data_frames_sent += copies;
-        self.data_msgs_sent += msgs_per_frame * copies;
-        self.wire_bytes_sent += msg.wire_size() as u64 * copies;
-        true
+/// Whether `msg` carries application data (`Data`, `DataBatch`,
+/// `Retransmit`): only those frames count as group sends.
+fn is_data_frame(msg: &GroupMsg) -> bool {
+    match msg {
+        GroupMsg::Data(_) | GroupMsg::DataBatch { .. } | GroupMsg::Retransmit(_) => true,
+        GroupMsg::Nack { .. }
+        | GroupMsg::Assign { .. }
+        | GroupMsg::AssignNack { .. }
+        | GroupMsg::JoinRequest { .. }
+        | GroupMsg::LeaveRequest { .. }
+        | GroupMsg::ViewProposal { .. }
+        | GroupMsg::FlushInfo { .. }
+        | GroupMsg::FlushCut { .. }
+        | GroupMsg::FlushDone { .. }
+        | GroupMsg::InstallView { .. } => false,
     }
 }
 
@@ -135,7 +110,6 @@ pub struct Endpoint {
     /// when `config.batch_max_messages > 1`).
     batch: Vec<DataMsg>,
     batch_timer_armed: bool,
-    stats: DataPlaneStats,
     obs: ObsHandle,
     /// Virtual time of the most recent entry-point call, in µs; stamps
     /// trace events emitted from internal helpers that have no `now`.
@@ -223,7 +197,6 @@ impl Endpoint {
             pending_sends: Vec::new(),
             batch: Vec::new(),
             batch_timer_armed: false,
-            stats: DataPlaneStats::default(),
             obs: Obs::disabled(),
             now_us: 0,
             streams: BTreeMap::new(),
@@ -294,11 +267,6 @@ impl Endpoint {
     /// Members currently suspected by the local failure detector.
     pub fn suspected(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.suspected.iter().copied()
-    }
-
-    /// Data-plane counters accumulated since construction.
-    pub fn stats(&self) -> DataPlaneStats {
-        self.stats
     }
 
     // ---- process-level failure-detector hooks ------------------------------
@@ -454,7 +422,6 @@ impl Endpoint {
         // …and loop the message back to ourselves through the normal path,
         // so self-delivery obeys the same ordering rules.
         if msg.order == DeliveryOrder::BestEffort {
-            self.stats.deliveries += 1;
             self.obs.metrics.incr(Ctr::GroupDeliveries);
             out.push(Output::Event(GroupEvent::Delivered(Delivery {
                 group: self.group,
@@ -486,7 +453,7 @@ impl Endpoint {
             }
         }
         let bytes = msg.wire_size() as u64;
-        if self.stats.note_sent(msg, copies) {
+        if copies > 0 && is_data_frame(msg) {
             self.obs.metrics.incr(Ctr::GroupSends);
             self.obs.metrics.add(Ctr::GroupFrameCopies, copies);
             self.obs.metrics.add(Ctr::GroupWireBytes, bytes * copies);
@@ -647,7 +614,6 @@ impl Endpoint {
     fn handle_data(&mut self, now: SimTime, from: ProcessId, d: DataMsg, out: &mut Vec<Output>) {
         if d.order == DeliveryOrder::BestEffort {
             // Unsequenced, unordered: deliver on arrival.
-            self.stats.deliveries += 1;
             self.obs.metrics.incr(Ctr::GroupDeliveries);
             out.push(Output::Event(GroupEvent::Delivered(Delivery {
                 group: self.group,
@@ -816,11 +782,9 @@ impl Endpoint {
                 .collect()
         };
         for (seq, msg) in frames {
-            if self.stats.note_sent(&msg, 1) {
-                self.obs.metrics.incr(Ctr::GroupRetransmits);
-                self.obs
-                    .emit(self.now_us, self.me.0, EventKind::Retransmit { seq });
-            }
+            self.obs.metrics.incr(Ctr::GroupRetransmits);
+            self.obs
+                .emit(self.now_us, self.me.0, EventKind::Retransmit { seq });
             out.push(Output::Send { to: from, msg });
         }
     }
@@ -944,7 +908,6 @@ impl Endpoint {
     }
 
     fn emit_delivery(&mut self, msg: &DataMsg, global_seq: Option<u64>, out: &mut Vec<Output>) {
-        self.stats.deliveries += 1;
         self.obs.metrics.incr(Ctr::GroupDeliveries);
         self.obs.emit(
             self.now_us,
@@ -1990,7 +1953,7 @@ impl Endpoint {
     /// Digest of the full protocol state for interleaving exploration:
     /// membership, send/receive pipelines, total-order bookkeeping, failure
     /// detection, flush progress and stability state. Excluded as
-    /// telemetry-blind: `config` (immutable), `stats`, `obs` and `now_us`
+    /// telemetry-blind: `config` (immutable), `obs` and `now_us`
     /// (observability only). `last_heard` carries absolute times, which
     /// weakens merging across timing-different interleavings but never
     /// soundness.

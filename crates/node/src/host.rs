@@ -49,7 +49,6 @@ use vd_group::transport::Transport;
 use vd_obs::registry::Ctr;
 use vd_obs::ObsHandle;
 use vd_simnet::actor::{Action, Actor, Context};
-use vd_simnet::metrics::MetricsHub;
 use vd_simnet::rng::DeterministicRng;
 use vd_simnet::time::{SimDuration, SimTime};
 use vd_simnet::topology::{NodeId, ProcessId};
@@ -127,7 +126,6 @@ struct Incarnation {
     actor: Box<dyn Actor>,
     wheel: TimerWheel,
     rng: DeterministicRng,
-    hub: MetricsHub,
     next_pid: u64,
 }
 
@@ -269,7 +267,6 @@ impl EventLoop {
                     rng: DeterministicRng::new(
                         spec.seed ^ pid.0.wrapping_mul(0x9e37_79b9) ^ (attempt << 48),
                     ),
-                    hub: MetricsHub::new(),
                     next_pid: pid.0.wrapping_add(1 << 32),
                 });
                 self.call(pid, |actor, ctx| actor.on_start(ctx));
@@ -389,14 +386,7 @@ impl EventLoop {
         };
         let (wire, log, node) = (&mut self.wire, &self.log, self.node);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = Context::external(
-                wire.now(),
-                pid,
-                node,
-                &mut inc.rng,
-                &mut inc.hub,
-                &mut inc.next_pid,
-            );
+            let mut ctx = Context::external(wire.now(), pid, node, &mut inc.rng, &mut inc.next_pid);
             handler(inc.actor.as_mut(), &mut ctx);
             let actions = ctx.drain_actions();
             drop(ctx);

@@ -134,6 +134,10 @@ metric_enum! {
         SimDrops => ("simnet.drops", L_SIM),
         /// Timers fired by the scheduler.
         SimTimerFires => ("simnet.timer_fires", L_SIM),
+        /// Bytes the simulated network put on inter-node links, counted
+        /// when sent, whether or not they arrive (same-node messages
+        /// cross no link and are not counted).
+        SimNetBytes => ("simnet.net_bytes", L_SIM),
         /// Frames handed to the real UDP socket by `vd-node`.
         NodeFramesSent => ("node.socket_frames_sent", L_NODE),
         /// Frames received from the real UDP socket by `vd-node`.

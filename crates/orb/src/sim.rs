@@ -10,6 +10,7 @@ use bytes::Bytes;
 
 use vd_obs::{Ctr, EventKind as ObsEvent, Obs, ObsHandle};
 use vd_simnet::actor::{downcast_payload, Actor, Context, Payload, TimerToken};
+use vd_simnet::metrics::Histogram;
 use vd_simnet::time::{SimDuration, SimTime};
 use vd_simnet::topology::ProcessId;
 
@@ -195,7 +196,7 @@ impl Default for DriverConfig {
 
 /// The sans-IO closed-loop request engine shared by the plain client actor
 /// here and the replicated client in `vd-core`: issues one request at a
-/// time, matches replies, measures round trips.
+/// time, matches replies, measures round trips and keeps every sample.
 #[derive(Debug)]
 pub struct RequestDriver {
     config: DriverConfig,
@@ -203,6 +204,7 @@ pub struct RequestDriver {
     issued: u64,
     completed: u64,
     args: Bytes,
+    rtt: Histogram,
 }
 
 impl RequestDriver {
@@ -215,6 +217,7 @@ impl RequestDriver {
             issued: 0,
             completed: 0,
             args,
+            rtt: Histogram::new(),
         }
     }
 
@@ -227,6 +230,7 @@ impl RequestDriver {
             issued: 0,
             completed: 0,
             args,
+            rtt: Histogram::new(),
         }
     }
 
@@ -235,9 +239,16 @@ impl RequestDriver {
         self.completed
     }
 
+    /// Every round trip measured so far, one sample per completed request
+    /// in completion order.
+    pub fn rtt(&self) -> &Histogram {
+        &self.rtt
+    }
+
     /// Folds the driver's behavior-relevant state into an exploration
     /// digest: the workload shape, the reply tracker and the
-    /// issue/complete counters.
+    /// issue/complete counters. The round-trip samples are telemetry and
+    /// stay out.
     pub fn fold_digest(&self, h: &mut vd_simnet::explore::Fnv64) {
         h.write_bytes(self.config.object.as_str().as_bytes());
         h.write_bytes(self.config.operation.as_bytes());
@@ -280,13 +291,18 @@ impl RequestDriver {
         ))
     }
 
-    /// Feeds a reply; on acceptance returns the measured round-trip time.
+    /// Feeds a reply; on acceptance records and returns the measured
+    /// round-trip time.
     pub fn on_reply(&mut self, now: SimTime, reply: Reply) -> Option<SimDuration> {
         let sent = self.tracker.sent_at(reply.request_id);
         match self.tracker.on_reply(reply) {
             ReplyOutcome::Accepted(_) => {
                 self.completed += 1;
-                sent.map(|s| now.duration_since(s))
+                let rtt = sent.map(|s| now.duration_since(s));
+                if let Some(rtt) = rtt {
+                    self.rtt.record(rtt);
+                }
+                rtt
             }
             _ => None,
         }
@@ -308,25 +324,17 @@ pub struct ClientActor {
     driver: RequestDriver,
     costs: OrbCosts,
     interceptor: Option<Box<dyn Interceptor>>,
-    /// Histogram name under which round trips are recorded.
-    pub rtt_metric: String,
 }
 
 impl ClientActor {
-    /// A client that will run `driver`'s cycle against `server`, recording
-    /// round trips into the world histogram named `rtt_metric`.
-    pub fn new(
-        server: ProcessId,
-        driver: RequestDriver,
-        costs: OrbCosts,
-        rtt_metric: impl Into<String>,
-    ) -> Self {
+    /// A client that will run `driver`'s cycle against `server`; the
+    /// driver keeps the round trips ([`RequestDriver::rtt`]).
+    pub fn new(server: ProcessId, driver: RequestDriver, costs: OrbCosts) -> Self {
         ClientActor {
             server,
             driver,
             costs,
             interceptor: None,
-            rtt_metric: rtt_metric.into(),
         }
     }
 
@@ -389,9 +397,7 @@ impl Actor for ClientActor {
         // timestamp.
         ctx.use_cpu(self.costs.marshal);
         let completed_at = ctx.now() + ctx.cpu_used();
-        if let Some(rtt) = self.driver.on_reply(completed_at, reply) {
-            let metric = self.rtt_metric.clone();
-            ctx.metrics().histogram(&metric).record(rtt);
+        if self.driver.on_reply(completed_at, reply).is_some() {
             if self.driver.is_done() {
                 return;
             }
@@ -455,7 +461,7 @@ mod tests {
             total: Some(total),
             ..DriverConfig::default()
         });
-        let mut client = ClientActor::new(server_pid, driver, OrbCosts::paper_calibrated(), "rtt");
+        let mut client = ClientActor::new(server_pid, driver, OrbCosts::paper_calibrated());
         if let Some(i) = client_interceptor {
             client = client.with_interceptor(i);
         }
@@ -471,7 +477,7 @@ mod tests {
         assert!(c.driver().is_done());
         assert_eq!(c.driver().completed(), 100);
         assert_eq!(world.actor_ref::<ServerActor>(server).unwrap().served, 100);
-        let h = world.metrics().histogram_ref("rtt").unwrap();
+        let h = c.driver().rtt();
         assert_eq!(h.count(), 100);
         // Baseline RTT: 2×100 µs network + 4×100 µs ORB + 15 µs app = 615 µs.
         assert_eq!(h.mean(), SimDuration::from_micros(615));
@@ -487,7 +493,7 @@ mod tests {
         world.run_for(SimDuration::from_secs(2));
         let c = world.actor_ref::<ClientActor>(client).unwrap();
         assert_eq!(c.driver().completed(), 50);
-        let h = world.metrics().histogram_ref("rtt").unwrap();
+        let h = c.driver().rtt();
         // Baseline 615 µs + 4 interceptor traversals à 38 µs = 767 µs.
         assert_eq!(h.mean(), SimDuration::from_micros(767));
     }
@@ -519,6 +525,6 @@ mod tests {
         assert_eq!(world.actor_ref::<ServerActor>(server).unwrap().served, 1);
         // No reply was produced: nothing else on the wire besides the
         // injected request (which came from outside the mesh).
-        assert!(world.metrics().bandwidth_ref(NET_BANDWIDTH).is_none());
+        assert_eq!(world.obs().metrics.counter(Ctr::SimNetBytes), 0);
     }
 }

@@ -3,14 +3,13 @@
 //! Every simulated process — a group-communication daemon, an ORB endpoint,
 //! a replicator instance, a workload client — implements [`Actor`]. Handlers
 //! receive a [`Context`] through which they read the clock, send messages,
-//! set timers, charge CPU time and record metrics. Handlers never touch the
+//! set timers and charge CPU time. Handlers never touch the
 //! world directly; they emit actions that the scheduler applies after the
 //! handler returns, which keeps execution deterministic and re-entrancy-free.
 
 use std::any::Any;
 use std::fmt;
 
-use crate::metrics::MetricsHub;
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, ProcessId};
@@ -109,7 +108,6 @@ pub struct Context<'a> {
     pub(crate) actions: Vec<Action>,
     pub(crate) cpu_cost: SimDuration,
     pub(crate) rng: &'a mut DeterministicRng,
-    pub(crate) metrics: &'a mut MetricsHub,
     pub(crate) next_pid: &'a mut u64,
 }
 
@@ -128,7 +126,6 @@ impl<'a> Context<'a> {
         self_id: ProcessId,
         node: NodeId,
         rng: &'a mut DeterministicRng,
-        metrics: &'a mut MetricsHub,
         next_pid: &'a mut u64,
     ) -> Self {
         Context {
@@ -138,7 +135,6 @@ impl<'a> Context<'a> {
             actions: Vec::new(),
             cpu_cost: SimDuration::ZERO,
             rng,
-            metrics,
             next_pid,
         }
     }
@@ -232,11 +228,6 @@ impl<'a> Context<'a> {
     /// This actor's deterministic random stream.
     pub fn rng(&mut self) -> &mut DeterministicRng {
         self.rng
-    }
-
-    /// The world's shared metrics registry.
-    pub fn metrics(&mut self) -> &mut MetricsHub {
-        self.metrics
     }
 }
 

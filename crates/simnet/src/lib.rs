@@ -10,12 +10,13 @@
 //!   ([`topology`]),
 //! * a **CPU model** that serializes handler execution per node ([`node`]),
 //! * **fault injection** — crash, loss, partition, timing faults ([`fault`]),
-//! * **measurement instruments** — histograms (latency/jitter), bandwidth
-//!   meters, counters, time series ([`metrics`]).
+//! * **exact round-trip samples** — a [`metrics::Histogram`] that client
+//!   drivers record latency and jitter into ([`metrics`]).
 //!
-//! Scheduler events (deliveries, drops, timer fires) are counted in the
-//! world's `vd-obs` registry ([`world::World::obs`]); `vd-obs`'s
-//! `TraceSink` is the one event trace.
+//! Scheduler events (deliveries, drops, timer fires) and the bytes put on
+//! the network are counted in the world's `vd-obs` registry
+//! ([`world::World::obs`]); `vd-obs`'s `MetricsRegistry` is the one
+//! metrics registry and its `TraceSink` the one event trace.
 //!
 //! Everything above this crate (group communication, the ORB, the
 //! replicator) is written as [`actor::Actor`]s, so a whole distributed
@@ -67,9 +68,9 @@ pub mod prelude {
     pub use crate::actor::{downcast_payload, payload_ref, Actor, Context, Payload, TimerToken};
     pub use crate::chaos::{ChaosAction, FaultPlan, FaultStep, StormConfig};
     pub use crate::explore::{Choice, ExploreConfig, ExploreReport, Fnv64, Violation};
-    pub use crate::metrics::{BandwidthMeter, Counter, Histogram, MetricsHub, TimeSeries};
+    pub use crate::metrics::Histogram;
     pub use crate::rng::DeterministicRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{LatencyModel, LinkConfig, NodeId, ProcessId, Topology};
-    pub use crate::world::{World, EXTERNAL, NET_BANDWIDTH};
+    pub use crate::world::{World, EXTERNAL};
 }

@@ -1,14 +1,14 @@
-//! Measurement instruments: histograms, counters, bandwidth meters and
-//! time series.
+//! Exact round-trip samples.
 //!
-//! The paper's evaluation reports average round-trip latency, jitter (as
-//! error bars), bandwidth consumption and request rates. These instruments
-//! collect exactly those statistics inside the simulator.
+//! The paper's evaluation reports average round-trip latency and jitter
+//! (as error bars). A [`Histogram`] keeps every sample, so both are exact;
+//! the client driver that measures a round trip owns the histogram it
+//! records into. Counters, gauges and bucketed histograms live in vd-obs's
+//! `MetricsRegistry`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// An exact-sample histogram of durations.
 ///
@@ -133,201 +133,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Accumulates bytes moved over time and reports throughput.
-///
-/// The paper's Fig. 7(b) reports bandwidth in MB/s over an experiment; this
-/// meter divides total bytes by the observation window.
-#[derive(Debug, Clone, Default)]
-pub struct BandwidthMeter {
-    bytes: u64,
-    messages: u64,
-    window_start: SimTime,
-    last_event: SimTime,
-}
-
-impl BandwidthMeter {
-    /// A meter whose window starts at time zero.
-    pub fn new() -> Self {
-        BandwidthMeter::default()
-    }
-
-    /// Starts (or restarts) the observation window at `now`, zeroing totals.
-    pub fn reset(&mut self, now: SimTime) {
-        self.bytes = 0;
-        self.messages = 0;
-        self.window_start = now;
-        self.last_event = now;
-    }
-
-    /// Records `bytes` moved at time `now`.
-    pub fn record(&mut self, now: SimTime, bytes: usize) {
-        self.bytes = self.bytes.saturating_add(bytes as u64);
-        self.messages += 1;
-        if now > self.last_event {
-            self.last_event = now;
-        }
-    }
-
-    /// Total bytes in the window.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total messages in the window.
-    pub fn total_messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Mean throughput in bytes/second over `[window_start, now]`.
-    pub fn bytes_per_sec(&self, now: SimTime) -> f64 {
-        let span = now.duration_since(self.window_start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / span
-        }
-    }
-
-    /// Mean throughput in megabytes/second over `[window_start, now]`.
-    pub fn mbytes_per_sec(&self, now: SimTime) -> f64 {
-        self.bytes_per_sec(now) / 1e6
-    }
-}
-
-/// A `(time, value)` series, e.g. the request rate over time in Fig. 6.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a point; times are expected to be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last value, if any.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.points.last().copied()
-    }
-}
-
-/// A registry of named instruments shared by an experiment.
-#[derive(Debug, Default)]
-pub struct MetricsHub {
-    histograms: BTreeMap<String, Histogram>,
-    counters: BTreeMap<String, Counter>,
-    bandwidth: BTreeMap<String, BandwidthMeter>,
-    series: BTreeMap<String, TimeSeries>,
-}
-
-impl MetricsHub {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsHub::default()
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        entry(&mut self.histograms, name)
-    }
-
-    /// A previously-created histogram, if any.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        entry(&mut self.counters, name)
-    }
-
-    /// A previously-created counter's value, or zero.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::value)
-    }
-
-    /// The bandwidth meter named `name`, created on first use.
-    pub fn bandwidth(&mut self, name: &str) -> &mut BandwidthMeter {
-        entry(&mut self.bandwidth, name)
-    }
-
-    /// A previously-created bandwidth meter, if any.
-    pub fn bandwidth_ref(&self, name: &str) -> Option<&BandwidthMeter> {
-        self.bandwidth.get(name)
-    }
-
-    /// The time series named `name`, created on first use.
-    pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        entry(&mut self.series, name)
-    }
-
-    /// A previously-created series, if any.
-    pub fn series_ref(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Names of all histograms, for reporting.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-}
-
-/// The instrument named `name`, created on first use. The key is
-/// allocated only then: instruments are looked up on hot paths.
-fn entry<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
-    if !map.contains_key(name) {
-        map.insert(name.to_owned(), T::default());
-    }
-    map.get_mut(name).expect("inserted above")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,48 +178,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), SimDuration::from_micros(20));
-    }
-
-    #[test]
-    fn bandwidth_meter_reports_rate() {
-        let mut m = BandwidthMeter::new();
-        m.reset(SimTime::ZERO);
-        m.record(SimTime::from_secs(1), 1_000_000);
-        m.record(SimTime::from_secs(2), 1_000_000);
-        assert_eq!(m.total_bytes(), 2_000_000);
-        assert_eq!(m.total_messages(), 2);
-        assert!((m.mbytes_per_sec(SimTime::from_secs(2)) - 1.0).abs() < 1e-9);
-        // Zero-length window reports zero, not a division by zero.
-        m.reset(SimTime::from_secs(2));
-        assert_eq!(m.bytes_per_sec(SimTime::from_secs(2)), 0.0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.add(10);
-        assert_eq!(c.value(), u64::MAX);
-    }
-
-    #[test]
-    fn series_preserves_order() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::from_micros(1), 10.0);
-        s.push(SimTime::from_micros(2), 20.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.last(), Some((SimTime::from_micros(2), 20.0)));
-    }
-
-    #[test]
-    fn hub_creates_on_first_use() {
-        let mut hub = MetricsHub::new();
-        hub.counter("requests").incr();
-        hub.histogram("rtt").record(SimDuration::from_micros(5));
-        assert_eq!(hub.counter_value("requests"), 1);
-        assert_eq!(hub.counter_value("missing"), 0);
-        assert_eq!(hub.histogram_ref("rtt").unwrap().count(), 1);
-        assert!(hub.histogram_ref("missing").is_none());
-        assert_eq!(hub.histogram_names().collect::<Vec<_>>(), vec!["rtt"]);
     }
 }

@@ -38,7 +38,6 @@ use vd_obs::{Ctr, Obs, ObsHandle};
 use crate::actor::{Action, Actor, Context, Payload, TimerToken};
 use crate::event::{ControlAction, EventKind, EventQueue};
 use crate::fault::FaultState;
-use crate::metrics::MetricsHub;
 use crate::node::NodeState;
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
@@ -47,10 +46,6 @@ use crate::topology::{NodeId, ProcessId, Topology};
 /// The source id used for messages injected by the harness rather than sent
 /// by an actor.
 pub const EXTERNAL: ProcessId = ProcessId(u64::MAX);
-
-/// Name of the built-in bandwidth meter that accumulates every byte placed
-/// on an inter-node link.
-pub const NET_BANDWIDTH: &str = "net.bytes";
 
 struct ProcEntry {
     node: NodeId,
@@ -68,7 +63,6 @@ pub struct World {
     /// whose actor has not started yet.
     procs: Vec<Option<ProcEntry>>,
     rng: DeterministicRng,
-    metrics: MetricsHub,
     fault: FaultState,
     obs: ObsHandle,
     next_pid: u64,
@@ -100,7 +94,6 @@ impl World {
             nodes,
             procs: Vec::new(),
             rng: DeterministicRng::new(seed),
-            metrics: MetricsHub::new(),
             fault: FaultState::new(),
             obs: Obs::disabled(),
             next_pid: 0,
@@ -126,19 +119,10 @@ impl World {
         &mut self.topology
     }
 
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &MetricsHub {
-        &self.metrics
-    }
-
-    /// Mutable access to the metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut MetricsHub {
-        &mut self.metrics
-    }
-
     /// The scheduler's observability endpoint: virtual-time event
     /// counters (`simnet.deliveries` / `simnet.drops` /
-    /// `simnet.timer_fires`) land in its registry.
+    /// `simnet.timer_fires`) and the bytes put on inter-node links
+    /// (`simnet.net_bytes`) land in its registry.
     pub fn obs(&self) -> &ObsHandle {
         &self.obs
     }
@@ -630,7 +614,6 @@ impl World {
             actions: std::mem::take(&mut self.actions),
             cpu_cost: SimDuration::ZERO,
             rng: &mut self.rng,
-            metrics: &mut self.metrics,
             next_pid: &mut self.next_pid,
         };
         invoke(actor.as_mut(), &mut ctx);
@@ -702,8 +685,7 @@ impl World {
         }
 
         // The bytes hit the wire whether or not they arrive.
-        let now = self.time;
-        self.metrics.bandwidth(NET_BANDWIDTH).record(now, wire_size);
+        self.obs.metrics.add(Ctr::SimNetBytes, wire_size as u64);
 
         if self.fault.is_blocked(src_node, dst_node) {
             self.obs.metrics.incr(Ctr::SimDrops);
@@ -1058,7 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_meter_counts_wire_bytes() {
+    fn net_bytes_count_wire_bytes_between_nodes() {
         let mut world = lan_world(1);
         let echo = world.spawn(
             NodeId(1),
@@ -1077,14 +1059,7 @@ mod tests {
         );
         world.run_for(SimDuration::from_millis(5));
         // One ping + one pong, 64 bytes each.
-        assert_eq!(
-            world
-                .metrics()
-                .bandwidth_ref(NET_BANDWIDTH)
-                .unwrap()
-                .total_bytes(),
-            128
-        );
+        assert_eq!(world.obs().metrics.counter(Ctr::SimNetBytes), 128);
     }
 
     #[test]
@@ -1106,7 +1081,7 @@ mod tests {
             }),
         );
         world.run_for(SimDuration::from_millis(5));
-        assert!(world.metrics().bandwidth_ref(NET_BANDWIDTH).is_none());
+        assert_eq!(world.obs().metrics.counter(Ctr::SimNetBytes), 0);
         assert_eq!(world.actor_ref::<Echo>(echo).unwrap().seen, 1);
     }
 

@@ -44,23 +44,23 @@ fn main() {
     }
 
     // Five saturating clients: warm passive cannot hold 3 ms under this.
+    let mut clients = Vec::new();
     for c in 0..5u32 {
         let driver = RequestDriver::new(DriverConfig {
             total: None,
             ..DriverConfig::default()
         });
-        world.spawn(
+        clients.push(world.spawn(
             NodeId(3 + c),
             Box::new(ReplicatedClientActor::new(
                 driver,
                 ReplicatedClientConfig {
                     replicas: replicas.clone(),
-                    rtt_metric: format!("c{c}.rtt"),
                     initial_gateway: c as usize,
                     ..ReplicatedClientConfig::default()
                 },
             )),
-        );
+        ));
     }
 
     world.run_for(SimDuration::from_secs(3));
@@ -74,14 +74,12 @@ fn main() {
         "\ncurrent style: {} (the latency violation was remedied by switching\nto active replication — the paper's §4.2 knob, pulled by the contract)",
         r0.engine().style()
     );
-    let mut total = 0usize;
     let mut merged = versatile_dependability::simnet::metrics::Histogram::new();
-    for c in 0..5 {
-        if let Some(h) = world.metrics().histogram_ref(&format!("c{c}.rtt")) {
-            total += h.count();
-            merged.merge(h);
-        }
+    for &c in &clients {
+        let client = world.actor_ref::<ReplicatedClientActor>(c).unwrap();
+        merged.merge(client.driver().rtt());
     }
+    let total = merged.count();
     println!(
         "\nworkload: {total} requests served, mean RTT {:.0} µs",
         merged.mean_micros_f64()

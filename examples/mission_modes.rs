@@ -14,6 +14,7 @@ use versatile_dependability::core::client::{ReplicatedClientActor, ReplicatedCli
 use versatile_dependability::core::replica::ReplicaCommand;
 use versatile_dependability::orb::sim::{DriverConfig, RequestDriver};
 use versatile_dependability::prelude::*;
+use versatile_dependability::simnet::metrics::Histogram;
 
 /// The flight software: accumulates telemetry frames as its process state.
 struct Telemetry {
@@ -40,13 +41,13 @@ impl ReplicatedApplication for Telemetry {
     }
 }
 
-fn window_stats(world: &World, from: SimTime) -> (usize, f64) {
-    // Round trips completed since `from`.
-    let h = world.metrics().histogram_ref("ground.rtt");
-    let count = h.map(|h| h.count()).unwrap_or(0);
-    let mean = h.map(|h| h.mean_micros_f64()).unwrap_or(0.0);
-    let _ = from;
-    (count, mean)
+/// The ground station's round trips so far.
+fn ground_rtt(world: &World, ground: ProcessId) -> &Histogram {
+    world
+        .actor_ref::<ReplicatedClientActor>(ground)
+        .expect("the ground station")
+        .driver()
+        .rtt()
 }
 
 fn main() {
@@ -79,13 +80,12 @@ fn main() {
         think: SimDuration::from_millis(2),
         ..DriverConfig::default()
     });
-    world.spawn(
+    let ground = world.spawn(
         NodeId(3),
         Box::new(ReplicatedClientActor::new(
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "ground.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -93,8 +93,12 @@ fn main() {
 
     // --- cruise phase -----------------------------------------------------
     world.run_for(SimDuration::from_secs(3));
-    let (n_cruise, mean_cruise) = window_stats(&world, SimTime::ZERO);
-    println!("cruise (warm passive): {n_cruise} commands, mean RTT {mean_cruise:.0} µs");
+    let cruise = ground_rtt(&world, ground);
+    println!(
+        "cruise (warm passive): {} commands, mean RTT {:.0} µs",
+        cruise.count(),
+        cruise.mean_micros_f64()
+    );
 
     // --- window of opportunity: switch to mission mode ---------------------
     println!("\n>>> window of opportunity opens: switching to ACTIVE replication");
@@ -105,9 +109,8 @@ fn main() {
             style: ReplicationStyle::Active,
         },
     );
-    let window_start = world.now();
     world.run_for(SimDuration::from_secs(3));
-    let (n_total, _) = window_stats(&world, window_start);
+    let n_total = ground_rtt(&world, ground).count();
     let r0 = world.actor_ref::<ReplicaActor>(replicas[0]).unwrap();
     println!(
         "mission (active): style now {}, {} commands total; switch history: {:?}",
@@ -155,7 +158,7 @@ fn main() {
         r0.engine().style(),
         u64::from_le_bytes(raw)
     );
-    let h = world.metrics().histogram_ref("ground.rtt").unwrap();
+    let h = ground_rtt(&world, ground);
     println!(
         "whole flight: {} commands, mean RTT {:.0} µs — across two mode\nswitches and one replica crash.",
         h.count(),

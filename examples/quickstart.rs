@@ -73,7 +73,6 @@ fn main() {
             driver,
             ReplicatedClientConfig {
                 replicas: replicas.clone(),
-                rtt_metric: "client0.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
@@ -115,7 +114,11 @@ fn main() {
             replica.endpoint().view()
         );
     }
-    let h = world.metrics().histogram_ref("client0.rtt").unwrap();
+    let h = world
+        .actor_ref::<ReplicatedClientActor>(client)
+        .unwrap()
+        .driver()
+        .rtt();
     println!(
         "client round trips: n={} mean={:.0}µs σ={:.0}µs",
         h.count(),

@@ -5,10 +5,11 @@
 # must leave every seeded gate's output byte-identical. This script builds
 # `experiments` (with `check-invariants`) from a temporary checkout of
 # <rev> and from the working tree, runs the `trace`, `chaos` and `shard`
-# gates of each in a directory of its own, then compares:
+# gates and the paper's figures (`fig3 fig4 fig6 fig7 fig8 fig9
+# ablation`) of each in a directory of its own, then compares:
 #   - trace_switch.jsonl, trace_failslow.jsonl, BENCH_PR4.json,
 #     BENCH_PR5.json and BENCH_PR9.json byte for byte (`cmp`);
-#   - the three printed reports and the gates' exit codes (`diff`).
+#   - the ten printed reports and the exit codes (`diff`).
 # It names the first difference and exits non-zero, or prints one line and
 # exits zero when everything matches.
 #
@@ -31,10 +32,13 @@ build() {
         -p vd-bench --features check-invariants --bin experiments --target-dir "$2"
 }
 
-# run <experiments binary> <output dir>: runs the three seeded gates there.
+# The seeded experiments compared: three gates, then the paper's figures.
+experiments="trace chaos shard fig3 fig4 fig6 fig7 fig8 fig9 ablation"
+
+# run <experiments binary> <output dir>: runs every seeded experiment there.
 run() {
     mkdir -p "$2"
-    for gate in trace chaos shard; do
+    for gate in $experiments; do
         status=0
         (cd "$2" && "$1" "$gate" > "$gate.txt" 2> "$gate.err") || status=$?
         echo "$gate exit $status" >> "$2/exit-codes.txt"
@@ -44,7 +48,7 @@ run() {
 echo "same-behaviour: building $rev (${commit:0:12}) and the working tree" >&2
 build "$tmp/checkout" "$tmp/checkout-target"
 build "$root" "$root/target"
-echo "same-behaviour: running trace, chaos and shard on both" >&2
+echo "same-behaviour: running $experiments on both" >&2
 run "$tmp/checkout-target/release/experiments" "$tmp/base"
 run "$root/target/release/experiments" "$tmp/tree"
 
@@ -54,11 +58,11 @@ for file in trace_switch.jsonl trace_failslow.jsonl BENCH_PR4.json BENCH_PR5.jso
         exit 1
     fi
 done
-for report in exit-codes trace chaos shard; do
+for report in exit-codes $experiments; do
     if ! diff -- "$tmp/base/$report.txt" "$tmp/tree/$report.txt" > "$tmp/diff"; then
         echo "same-behaviour: the $report output differs from $rev; first difference (< $rev, > working tree):" >&2
         head -n 5 "$tmp/diff" >&2
         exit 1
     fi
 done
-echo "same-behaviour: identical to $rev (5 exported files, 3 reports, exit codes)"
+echo "same-behaviour: identical to $rev (5 exported files, 10 reports, exit codes)"

@@ -8,7 +8,8 @@
 //! This façade crate re-exports the whole workspace:
 //!
 //! * [`simnet`] — deterministic discrete-event simulation substrate
-//!   (virtual time, network/CPU models, fault injection, metrics),
+//!   (virtual time, network/CPU models, fault injection, round-trip
+//!   samples),
 //! * [`group`] — group communication toolkit (membership, failure
 //!   detection, four delivery guarantees, virtual synchrony),
 //! * [`orb`] — miniature ORB (GIOP-lite wire format, CDR-lite marshaling,

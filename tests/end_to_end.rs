@@ -142,7 +142,6 @@ fn repeated_switches_under_load_converge_and_lose_nothing() {
                 driver,
                 ReplicatedClientConfig {
                     replicas: replicas.clone(),
-                    rtt_metric: format!("client{c}.rtt"),
                     initial_gateway: c as usize,
                     ..ReplicatedClientConfig::default()
                 },
@@ -291,7 +290,6 @@ fn user_exceptions_flow_back_to_the_client() {
             driver,
             ReplicatedClientConfig {
                 replicas: vec![replica],
-                rtt_metric: "c.rtt".into(),
                 ..ReplicatedClientConfig::default()
             },
         )),
