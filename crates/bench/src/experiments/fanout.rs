@@ -15,10 +15,12 @@
 //!    with the batching knob on: N payloads under one header against N
 //!    headers, read from the endpoint's `group.wire_bytes` counter (the
 //!    modeled wire size of every data frame copy it sent).
-//! 3. **Checkpoint transfer bytes, full vs delta.** Two warm-passive
+//! 3. **Checkpoint state bytes, full vs delta.** Two warm-passive
 //!    test-bed runs (the Fig. 6/7 testbed) with identical workloads: one
 //!    sends a full snapshot every checkpoint, the other re-anchors every
-//!    K-th checkpoint and sends byte deltas in between.
+//!    K-th checkpoint and sends byte deltas in between. Both read the
+//!    replicas' `replicator.checkpoint_bytes` (state bytes: the snapshot,
+//!    or the delta, without the frame around it).
 //! 4. **Tracing cost.** The same fan-out with a live [`TraceSink`]
 //!    attached versus a disabled one, three interleaved runs each
 //!    (`BENCH_PR3.json`). Two deterministic gates: the traced run emits
@@ -34,8 +36,6 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use vd_core::replica::ReplicaActor;
-use vd_core::repstate::CheckpointAccounting;
 use vd_core::style::ReplicationStyle;
 use vd_group::prelude::*;
 use vd_obs::{Ctr, Obs, ObsHandle, TraceSink};
@@ -107,7 +107,7 @@ pub struct CheckpointTransfer {
     pub fulls: u64,
     /// Delta checkpoints broadcast.
     pub deltas: u64,
-    /// Checkpoint bytes put on the wire (fulls + deltas).
+    /// Checkpoint state bytes sent (fulls + deltas).
     pub bytes: u64,
     /// Deltas rejected by receivers (chain breaks; should be 0).
     pub rejected: u64,
@@ -119,7 +119,7 @@ impl CheckpointTransfer {
         self.fulls + self.deltas
     }
 
-    /// Average bytes per checkpoint frame.
+    /// Average state bytes per checkpoint frame.
     pub fn bytes_per_frame(&self) -> f64 {
         self.bytes as f64 / self.frames().max(1) as f64
     }
@@ -416,7 +416,7 @@ fn wire_bytes_per_message(batch: usize, msgs: u64) -> f64 {
 }
 
 /// Runs the warm-passive Fig. 6/7 testbed to completion and totals the
-/// checkpoint transfer across all replicas.
+/// checkpoint transfer across all replicas' registries.
 fn measure_checkpoints(full_every: u32, requests: u64, seed: u64) -> CheckpointTransfer {
     let config = TestbedConfig {
         replicas: 3,
@@ -438,19 +438,13 @@ fn measure_checkpoints(full_every: u32, requests: u64, seed: u64) -> CheckpointT
         requests,
         "checkpoint run incomplete within the horizon (full_every={full_every})"
     );
-    let mut total = CheckpointTransfer::default();
-    for &pid in &bed.replicas {
-        let acct: CheckpointAccounting = bed
-            .world
-            .actor_ref::<ReplicaActor>(pid)
-            .map(|r| *r.checkpoints())
-            .unwrap_or_default();
-        total.fulls += acct.full_sent;
-        total.deltas += acct.deltas_sent;
-        total.bytes += acct.bytes_sent();
-        total.rejected += acct.rejected_deltas;
+    let total = |counter| -> u64 { bed.obs.iter().map(|o| o.metrics.counter(counter)).sum() };
+    CheckpointTransfer {
+        fulls: total(Ctr::CkptFullSent),
+        deltas: total(Ctr::CkptDeltaSent),
+        bytes: total(Ctr::CkptBytesSent),
+        rejected: total(Ctr::CkptRejected),
     }
-    total
 }
 
 /// Runs the full data-plane suite. `requests` sizes both the fan-out loop

@@ -232,15 +232,15 @@ pub fn build_replicated(config: &TestbedConfig) -> Testbed {
             .style(config.style)
             .num_replicas(config.replicas)
             .checkpoint_interval(config.checkpoint_interval)
-            .checkpoint_full_every(config.checkpoint_full_every)
-            .batch_max_messages(config.batch_max_messages.max(1));
+            .checkpoint_full_every(config.checkpoint_full_every);
         let replica_obs = new_obs();
         obs.push(replica_obs.clone());
         let replica_config = ReplicaConfig {
             knobs,
             group_config: vd_group::config::GroupConfig::default()
                 .failure_timeout(config.failure_timeout)
-                .min_view(config.min_view.max(1)),
+                .min_view(config.min_view.max(1))
+                .batch_max_messages(config.batch_max_messages.max(1)),
             obs: replica_obs,
             managers: manager_pids.clone(),
             ..ReplicaConfig::for_group(config.group)

@@ -422,14 +422,7 @@ impl Engine {
             // the outgoing laggard primary's final checkpoint carries the
             // exact pre-demotion prefix. Apply it, then take over
             // execution and checkpointing as the new primary.
-            ops.push(EngineOp::ApplyCheckpoint {
-                version,
-                state,
-                replies,
-                at_failover: false,
-            });
-            self.executed = self.executed.max(version);
-            self.buffered.retain(|e| e.index > version);
+            self.adopt_checkpoint(&mut ops, (version, state, replies), false);
             self.awaiting_demotion_checkpoint = false;
             self.drain_backlog_if_executing(&mut ops);
             if self.style.uses_checkpoints() && self.is_primary() {
@@ -440,14 +433,7 @@ impl Engine {
         if self.awaiting_final_checkpoint && final_for_switch {
             // Paper Fig. 5, case 1, step III: apply the one-more checkpoint,
             // then come up as an active replica and work off the backlog.
-            ops.push(EngineOp::ApplyCheckpoint {
-                version,
-                state,
-                replies,
-                at_failover: false,
-            });
-            self.executed = self.executed.max(version);
-            self.buffered.retain(|e| e.index > version);
+            self.adopt_checkpoint(&mut ops, (version, state, replies), false);
             self.awaiting_final_checkpoint = false;
             let old = self.style;
             self.style = ReplicationStyle::Active;
@@ -463,14 +449,7 @@ impl Engine {
         }
         match self.style {
             ReplicationStyle::WarmPassive => {
-                ops.push(EngineOp::ApplyCheckpoint {
-                    version,
-                    state,
-                    replies,
-                    at_failover: false,
-                });
-                self.executed = version;
-                self.buffered.retain(|e| e.index > version);
+                self.adopt_checkpoint(&mut ops, (version, state, replies), false);
             }
             ReplicationStyle::ColdPassive => {
                 // Stored, not applied: cold backups pay at recovery time.
@@ -572,18 +551,7 @@ impl Engine {
                 if target == ReplicationStyle::WarmPassive {
                     // Warm applies eagerly: catch up from a stored cold
                     // checkpoint if we have one.
-                    if let Some((version, state, replies)) = self.stored_checkpoint.take() {
-                        if version > self.executed {
-                            ops.push(EngineOp::ApplyCheckpoint {
-                                version,
-                                state,
-                                replies,
-                                at_failover: false,
-                            });
-                            self.executed = version;
-                            self.buffered.retain(|e| e.index > version);
-                        }
-                    }
+                    self.restore_stored_checkpoint(&mut ops, false);
                 }
             }
         }
@@ -631,18 +599,7 @@ impl Engine {
                 self.awaiting_demotion_checkpoint = false;
                 if self.is_primary() {
                     if self.style == ReplicationStyle::ColdPassive {
-                        if let Some((version, state, replies)) = self.stored_checkpoint.take() {
-                            if version > self.executed {
-                                ops.push(EngineOp::ApplyCheckpoint {
-                                    version,
-                                    state,
-                                    replies,
-                                    at_failover: true,
-                                });
-                                self.executed = version;
-                                self.buffered.retain(|e| e.index > version);
-                            }
-                        }
+                        self.restore_stored_checkpoint(&mut ops, true);
                     }
                     self.replay_backlog(&mut ops);
                     if self.style.uses_checkpoints() {
@@ -670,18 +627,7 @@ impl Engine {
                 // Passive failover: the new primary recovers and replays.
                 if self.is_primary() {
                     if self.style == ReplicationStyle::ColdPassive {
-                        if let Some((version, state, replies)) = self.stored_checkpoint.take() {
-                            if version > self.executed {
-                                ops.push(EngineOp::ApplyCheckpoint {
-                                    version,
-                                    state,
-                                    replies,
-                                    at_failover: true,
-                                });
-                                self.executed = version;
-                                self.buffered.retain(|e| e.index > version);
-                            }
-                        }
+                        self.restore_stored_checkpoint(&mut ops, true);
                     }
                     self.replay_backlog(&mut ops);
                     ops.push(EngineOp::StartCheckpointTimer);
@@ -711,6 +657,37 @@ impl Engine {
     }
 
     // ---- internals ---------------------------------------------------------------
+
+    /// Adopts a checkpoint's state: the host applies it, everything it
+    /// covers counts as executed, and the backlog it covers is dropped.
+    /// (A joiner's state transfer is adopted on its own path: it also
+    /// renumbers the backlog.)
+    fn adopt_checkpoint(
+        &mut self,
+        ops: &mut Vec<EngineOp>,
+        (version, state, replies): (u64, Bytes, Vec<CachedReply>),
+        at_failover: bool,
+    ) {
+        ops.push(EngineOp::ApplyCheckpoint {
+            version,
+            state,
+            replies,
+            at_failover,
+        });
+        self.executed = self.executed.max(version);
+        self.buffered.retain(|e| e.index > version);
+    }
+
+    /// Adopts the stored cold-passive checkpoint, if one is ahead of what
+    /// was executed (`at_failover`: a backup taking over, which also pays
+    /// the launch penalty).
+    fn restore_stored_checkpoint(&mut self, ops: &mut Vec<EngineOp>, at_failover: bool) {
+        if let Some(stored) = self.stored_checkpoint.take() {
+            if stored.0 > self.executed {
+                self.adopt_checkpoint(ops, stored, at_failover);
+            }
+        }
+    }
 
     fn drain_backlog_if_executing(&mut self, ops: &mut Vec<EngineOp>) {
         if self.i_execute_now() {

@@ -14,7 +14,9 @@
 //! detector reads them. Together they set the fault-detection time of
 //! Table 1's availability column; the `group.fault_detection_us` histogram
 //! records the measured value, which lands in `(timeout, timeout +
-//! interval]`.
+//! interval]`. Data-plane batching lives there too
+//! (`GroupConfig::batch_max_messages`), read by the endpoint that
+//! batches.
 
 use std::fmt;
 
@@ -43,11 +45,6 @@ pub struct LowLevelKnobs {
     /// is full). Trades recovery-chain length for transfer bytes — the
     /// paper's checkpointing-frequency knob extended along the size axis.
     pub checkpoint_full_every: u32,
-    /// Maximum data messages coalesced into one batched wire frame by the
-    /// group-communication endpoint; `1` disables batching. The paper's
-    /// Table 1 scalability knob: batching amortizes per-message header and
-    /// daemon cost at high request rates, at a small latency cost.
-    pub batch_max_messages: usize,
 }
 
 impl LowLevelKnobs {
@@ -55,17 +52,14 @@ impl LowLevelKnobs {
     ///
     /// # Errors
     ///
-    /// Returns a message when the settings cannot work (no replicas, a
-    /// passive style without a checkpoint interval, or batching set to 0).
+    /// Returns a message when the settings cannot work (no replicas, or a
+    /// passive style without a checkpoint interval).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_replicas == 0 {
             return Err("at least one replica is required".into());
         }
         if self.style.uses_checkpoints() && self.checkpoint_interval.is_zero() {
             return Err("passive styles need a positive checkpoint interval".into());
-        }
-        if self.batch_max_messages == 0 {
-            return Err("batch_max_messages must be at least 1 (1 = batching off)".into());
         }
         Ok(())
     }
@@ -100,12 +94,6 @@ impl LowLevelKnobs {
         self
     }
 
-    /// Builder: sets the data-plane batching limit (`1` = off).
-    pub fn batch_max_messages(mut self, n: usize) -> Self {
-        self.batch_max_messages = n;
-        self
-    }
-
     /// Whether incremental (delta) checkpointing is enabled.
     pub fn delta_checkpoints_enabled(&self) -> bool {
         self.checkpoint_full_every > 1
@@ -119,7 +107,6 @@ impl Default for LowLevelKnobs {
             num_replicas: 2,
             checkpoint_interval: SimDuration::from_millis(10),
             checkpoint_full_every: 1,
-            batch_max_messages: 1,
         }
     }
 }
@@ -128,12 +115,11 @@ impl fmt::Display for LowLevelKnobs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}×{} ckpt={} full/{} batch={}",
+            "{}×{} ckpt={} full/{}",
             self.style,
             self.num_replicas,
             self.checkpoint_interval,
-            self.checkpoint_full_every.max(1),
-            self.batch_max_messages
+            self.checkpoint_full_every.max(1)
         )
     }
 }
@@ -261,13 +247,7 @@ mod tests {
 
     #[test]
     fn data_plane_knobs_validate_and_report() {
-        assert!(LowLevelKnobs::default()
-            .batch_max_messages(0)
-            .validate()
-            .is_err());
-        let k = LowLevelKnobs::default()
-            .batch_max_messages(16)
-            .checkpoint_full_every(8);
+        let k = LowLevelKnobs::default().checkpoint_full_every(8);
         assert!(k.validate().is_ok());
         assert!(k.delta_checkpoints_enabled());
         assert!(!LowLevelKnobs::default().delta_checkpoints_enabled());

@@ -71,7 +71,6 @@ pub mod invariants;
 pub mod knobs;
 pub mod messages;
 pub mod monitor;
-pub mod placement;
 pub mod policy;
 pub mod recovery;
 pub mod replica;
@@ -87,7 +86,6 @@ pub mod prelude {
     pub use crate::knobs::{HighLevelKnob, LowLevelKnobs};
     pub use crate::messages::{CachedReply, ReplicatorMsg};
     pub use crate::monitor::{Monitor, Observations};
-    pub use crate::placement::{GroupLoad, GroupPlacement, PlacementPolicy};
     pub use crate::policy::{
         plan_scalability, AdaptationAction, AdaptationPolicy, AvailabilityPolicy, ChosenConfig,
         ConfigMeasurement, ContractPolicy, PolicyContext, RateThresholdPolicy,

@@ -31,7 +31,7 @@ use vd_group::message::{GroupId, GroupMsg};
 use vd_group::multi::{MultiEndpoint, MultiOutput, MultiTimer, ProcessHeartbeat};
 use vd_group::order::DeliveryOrder;
 use vd_group::sim::{
-    group_scoped_from_token, group_scoped_token, multi_timer_from_token, multi_timer_token,
+    apply_multi_outputs, group_scoped_from_token, group_scoped_token, multi_timer_from_token,
 };
 use vd_obs::{Ctr, EventKind as ObsEvent, Gauge, Hist, Obs, ObsHandle, SmallStr, SwitchPhase};
 use vd_orb::object::ObjectKey;
@@ -46,7 +46,7 @@ use crate::knobs::LowLevelKnobs;
 use crate::messages::{CachedReply, ReplicatorMsg};
 use crate::monitor::{Monitor, Observations};
 use crate::policy::{AdaptationAction, AdaptationPolicy, PolicyContext};
-use crate::repstate::{CheckpointAccounting, SystemBoard};
+use crate::repstate::SystemBoard;
 use crate::state::{apply_delta_in_place, diff_state, ReplicatedApplication};
 use crate::style::ReplicationStyle;
 
@@ -281,10 +281,6 @@ pub struct ReplicationEngine {
     /// Policy directives the replicator cannot enact alone (replica
     /// addition/removal); an external manager drains these.
     directives: Vec<(SimTime, AdaptationAction)>,
-    /// Requests executed by this group (inspection).
-    executed_requests: u64,
-    /// Checkpoint transfer ledger (full vs delta bytes; inspection).
-    checkpoints: CheckpointAccounting,
     /// Last checkpoint broadcast by this replica as primary: the version
     /// and the *full* state, kept as the diff base for incremental mode.
     ckpt_sent: Option<(u64, Bytes)>,
@@ -316,7 +312,6 @@ impl ReplicationEngine {
         app: Box<dyn ReplicatedApplication>,
         config: ReplicaConfig,
     ) -> (Self, Endpoint) {
-        let config = Self::push_down_knobs(config);
         let mut endpoint =
             Endpoint::bootstrap(me, config.group, config.group_config, members.clone());
         endpoint.set_obs(config.obs.clone());
@@ -332,19 +327,10 @@ impl ReplicationEngine {
         app: Box<dyn ReplicatedApplication>,
         config: ReplicaConfig,
     ) -> (Self, Endpoint) {
-        let config = Self::push_down_knobs(config);
         let mut endpoint = Endpoint::joining(me, config.group, config.group_config, contacts);
         endpoint.set_obs(config.obs.clone());
         let (engine, _init) = Engine::new(me, config.knobs.style, Vec::new(), false);
         (Self::assemble(me, engine, app, config), endpoint)
-    }
-
-    /// Projects the fault-tolerance knobs onto the group-communication
-    /// layer: the knob surface (paper Table 1) is authoritative for the
-    /// data-plane batching limit.
-    fn push_down_knobs(mut config: ReplicaConfig) -> ReplicaConfig {
-        config.group_config.batch_max_messages = config.knobs.batch_max_messages.max(1);
-        config
     }
 
     fn assemble(
@@ -366,8 +352,6 @@ impl ReplicationEngine {
             policies: Vec::new(),
             style_history: Vec::new(),
             directives: Vec::new(),
-            executed_requests: 0,
-            checkpoints: CheckpointAccounting::default(),
             ckpt_sent: None,
             ckpt_since_full: 0,
             ckpt_mirror: None,
@@ -417,16 +401,6 @@ impl ReplicationEngine {
     /// Policy directives requiring an external actuator.
     pub fn directives(&self) -> &[(SimTime, AdaptationAction)] {
         &self.directives
-    }
-
-    /// Requests executed by this group on this replica.
-    pub fn executed_requests(&self) -> u64 {
-        self.executed_requests
-    }
-
-    /// Checkpoint transfer ledger (full vs delta bytes).
-    pub fn checkpoints(&self) -> &CheckpointAccounting {
-        &self.checkpoints
     }
 
     /// Whether the group evicted this replica.
@@ -500,21 +474,12 @@ impl ReplicationEngine {
         multi: &mut MultiEndpoint,
         outputs: Vec<MultiOutput>,
     ) {
-        for output in outputs {
-            match output {
-                MultiOutput::Send { to, msg } => ctx.send(to, msg),
-                MultiOutput::Heartbeat { to, msg } => ctx.send(to, msg),
-                MultiOutput::SetTimer { delay, timer } => {
-                    ctx.set_timer(delay, multi_timer_token(timer));
-                }
-                MultiOutput::Event { group, event } => {
-                    // Outputs produced by this group's endpoint can only
-                    // surface this group's events.
-                    debug_assert_eq!(group, self.config.group, "cross-group event leak");
-                    self.handle_group_event(ctx, multi, event);
-                }
-            }
-        }
+        apply_multi_outputs(ctx, outputs, |ctx, group, event| {
+            // Outputs produced by this group's endpoint can only surface
+            // this group's events.
+            debug_assert_eq!(group, self.config.group, "cross-group event leak");
+            self.handle_group_event(ctx, multi, event);
+        });
     }
 
     /// Handles one group event surfaced by the endpoint for this group.
@@ -533,7 +498,7 @@ impl ReplicationEngine {
                 let Ok(msg) = ReplicatorMsg::decode(delivery.payload) else {
                     return;
                 };
-                self.handle_delivery(ctx, multi, msg);
+                self.handle_delivery(ctx, multi, delivery.sender, msg);
             }
             GroupEvent::ViewInstalled {
                 view,
@@ -636,6 +601,7 @@ impl ReplicationEngine {
         &mut self,
         ctx: &mut Context<'_>,
         multi: &mut MultiEndpoint,
+        sender: ProcessId,
         msg: ReplicatorMsg,
     ) {
         match msg {
@@ -664,6 +630,14 @@ impl ReplicationEngine {
                 state,
                 replies,
             } => {
+                // Our own periodic checkpoint: the engine has executed at
+                // least `version` and would ignore it, so it is not even
+                // resolved. A final one still goes to the engine, which
+                // may be waiting on it (a switch delivered after our own
+                // demotion's handover was sent).
+                if sender == self.me && !final_for_switch {
+                    return;
+                }
                 let Some(state) = self.resolve_checkpoint_state(version, delta_base, state) else {
                     // Missing or stale delta base: drop and wait for the
                     // next full snapshot to resynchronize the chain.
@@ -671,18 +645,10 @@ impl ReplicationEngine {
                     self.emit(ctx, ObsEvent::CheckpointRejected { version });
                     return;
                 };
-                self.config.obs.metrics.incr(Ctr::CkptApplied);
-                self.emit(
-                    ctx,
-                    ObsEvent::CheckpointApplied {
-                        version,
-                        delta: delta_base.is_some(),
-                    },
-                );
                 let ops =
                     self.engine
                         .on_checkpoint(version, style, final_for_switch, state, replies);
-                self.apply_ops(ctx, multi, ops);
+                self.apply_ops_with(ctx, multi, ops, delta_base.is_some());
             }
             ReplicatorMsg::SwitchRequest { target, .. } => {
                 let from = self.engine.style();
@@ -770,6 +736,20 @@ impl ReplicationEngine {
     }
 
     fn apply_ops(&mut self, ctx: &mut Context<'_>, multi: &mut MultiEndpoint, ops: Vec<EngineOp>) {
+        self.apply_ops_with(ctx, multi, ops, false);
+    }
+
+    /// Performs engine ops. `delivered_delta` says whether the checkpoint
+    /// the ops answer arrived as a delta; only a delivered checkpoint's
+    /// ops can set it, so a restore of a stored (full) checkpoint reports
+    /// `delta: false`.
+    fn apply_ops_with(
+        &mut self,
+        ctx: &mut Context<'_>,
+        multi: &mut MultiEndpoint,
+        ops: Vec<EngineOp>,
+        delivered_delta: bool,
+    ) {
         for op in ops {
             match op {
                 EngineOp::Execute { entry, reply } => self.execute(ctx, multi, entry, reply),
@@ -779,11 +759,19 @@ impl ReplicationEngine {
                     self.resend_cached(ctx, client, request_id);
                 }
                 EngineOp::ApplyCheckpoint {
+                    version,
                     state,
                     replies,
                     at_failover,
-                    ..
                 } => {
+                    self.config.obs.metrics.incr(Ctr::CkptApplied);
+                    self.emit(
+                        ctx,
+                        ObsEvent::CheckpointApplied {
+                            version,
+                            delta: delivered_delta,
+                        },
+                    );
                     let mut cost = self.restore_cost(state.len());
                     if at_failover {
                         cost += self.config.costs.cold_launch;
@@ -867,7 +855,6 @@ impl ReplicationEngine {
             self.app.processing_micros(&entry.operation),
         ));
         let outcome = self.app.invoke(&entry.operation, &entry.args);
-        self.executed_requests += 1;
         self.config.obs.metrics.incr(Ctr::RepExecuted);
         let wire_reply = match outcome {
             Ok(body) => Reply {
@@ -1003,9 +990,7 @@ impl ReplicationEngine {
             state: wire_state,
             replies,
         };
-        let frame_len = msg.encoded_len();
-        self.checkpoints.note_sent(is_delta, frame_len);
-        self.monitor.record_bytes(frame_len);
+        self.monitor.record_bytes(msg.encoded_len());
         self.config.obs.metrics.incr(if is_delta {
             Ctr::CkptDeltaSent
         } else {
@@ -1056,13 +1041,9 @@ impl ReplicationEngine {
                 // The delta patches the mirror itself: in place when the
                 // mirror is its buffer's only handle, on a copy when the
                 // buffer is shared (as a full snapshot's is).
-                let Some((mirrored, mut mirror)) = self.ckpt_mirror.take() else {
-                    self.checkpoints.note_rejected();
-                    return None;
-                };
+                let (mirrored, mut mirror) = self.ckpt_mirror.take()?;
                 if mirrored != base_version || apply_delta_in_place(&mut mirror, &state).is_err() {
                     self.ckpt_mirror = Some((mirrored, mirror));
-                    self.checkpoints.note_rejected();
                     return None;
                 }
                 mirror
@@ -1353,8 +1334,7 @@ impl ReplicationEngine {
     /// Deliberately excluded as inspection-only (they never feed back
     /// into protocol decisions within one bounded exploration): `config`,
     /// `monitor`, `board`, `policies`, `style_history`, `directives`,
-    /// `executed_requests`, `checkpoints`, `request_arrivals`,
-    /// `last_observations`.
+    /// `request_arrivals`, `last_observations`.
     pub(crate) fn fold_digest(&self, h: &mut Fnv64) {
         h.write_u64(self.me.0);
         h.write_u64(self.engine.state_digest());
@@ -1424,7 +1404,7 @@ impl std::fmt::Debug for ReplicationEngine {
         f.debug_struct("ReplicationEngine")
             .field("group", &self.config.group)
             .field("style", &self.engine.style())
-            .field("executed", &self.executed_requests)
+            .field("executed", &self.engine.executed())
             .field("evicted", &self.evicted)
             .finish()
     }
@@ -1634,16 +1614,6 @@ impl ReplicaActor {
         self.first().directives()
     }
 
-    /// Requests executed by the first hosted group.
-    pub fn executed_requests(&self) -> u64 {
-        self.first().executed_requests()
-    }
-
-    /// Checkpoint ledger of the first hosted group.
-    pub fn checkpoints(&self) -> &CheckpointAccounting {
-        self.first().checkpoints()
-    }
-
     /// The execution/reply audit trail of the first hosted group.
     #[cfg(feature = "check-invariants")]
     pub fn invariant_log(&self) -> &crate::invariants::InvariantLog {
@@ -1675,21 +1645,12 @@ impl ReplicaActor {
     /// Performs multiplexer outputs, dispatching group events to the
     /// owning replication engine.
     fn absorb(&mut self, ctx: &mut Context<'_>, outputs: Vec<MultiOutput>) {
-        for output in outputs {
-            match output {
-                MultiOutput::Send { to, msg } => ctx.send(to, msg),
-                MultiOutput::Heartbeat { to, msg } => ctx.send(to, msg),
-                MultiOutput::SetTimer { delay, timer } => {
-                    ctx.set_timer(delay, multi_timer_token(timer));
-                }
-                MultiOutput::Event { group, event } => {
-                    let Self { multi, groups, .. } = self;
-                    if let Some(engine) = groups.get_mut(&group) {
-                        engine.handle_group_event(ctx, multi, event);
-                    }
-                }
+        let Self { multi, groups, .. } = self;
+        apply_multi_outputs(ctx, outputs, |ctx, group, event| {
+            if let Some(engine) = groups.get_mut(&group) {
+                engine.handle_group_event(ctx, multi, event);
             }
-        }
+        });
     }
 }
 

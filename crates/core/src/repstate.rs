@@ -108,74 +108,12 @@ impl SystemBoard {
     }
 }
 
-/// Checkpoint transfer accounting: how many wire bytes the incremental
-/// (delta) checkpoint mode moves versus full snapshots — the cost axis of
-/// the paper's Fig. 6/7 experiments. Each replica keeps its own ledger;
-/// send-side fields fill on the checkpointing primary, `rejected_deltas`
-/// on receivers that had to wait for a full snapshot to resynchronize.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointAccounting {
-    /// Full snapshots sent.
-    pub full_sent: u64,
-    /// Delta checkpoints sent.
-    pub deltas_sent: u64,
-    /// Encoded frame bytes of full snapshots sent.
-    pub full_bytes: u64,
-    /// Encoded frame bytes of delta checkpoints sent.
-    pub delta_bytes: u64,
-    /// Received deltas dropped because their base version did not match
-    /// the local mirror (chain broken; next full resyncs).
-    pub rejected_deltas: u64,
-}
-
-impl CheckpointAccounting {
-    /// Records one checkpoint frame sent to the group.
-    pub fn note_sent(&mut self, is_delta: bool, wire_bytes: usize) {
-        if is_delta {
-            self.deltas_sent += 1;
-            self.delta_bytes += wire_bytes as u64;
-        } else {
-            self.full_sent += 1;
-            self.full_bytes += wire_bytes as u64;
-        }
-    }
-
-    /// Records a received delta rejected for a missing or stale base.
-    pub fn note_rejected(&mut self) {
-        self.rejected_deltas += 1;
-    }
-
-    /// Total checkpoint bytes sent (full + delta frames).
-    pub fn bytes_sent(&self) -> u64 {
-        self.full_bytes + self.delta_bytes
-    }
-
-    /// Total checkpoint frames sent.
-    pub fn frames_sent(&self) -> u64 {
-        self.full_sent + self.deltas_sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(n: u64) -> ProcessId {
         ProcessId(n)
-    }
-
-    #[test]
-    fn checkpoint_accounting_splits_full_and_delta() {
-        let mut acct = CheckpointAccounting::default();
-        acct.note_sent(false, 4096);
-        acct.note_sent(true, 64);
-        acct.note_sent(true, 32);
-        acct.note_rejected();
-        assert_eq!(acct.full_sent, 1);
-        assert_eq!(acct.deltas_sent, 2);
-        assert_eq!(acct.bytes_sent(), 4096 + 64 + 32);
-        assert_eq!(acct.frames_sent(), 3);
-        assert_eq!(acct.rejected_deltas, 1);
     }
 
     #[test]

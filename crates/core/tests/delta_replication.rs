@@ -8,7 +8,9 @@
 use bytes::Bytes;
 
 use vd_core::prelude::*;
+use vd_group::config::GroupConfig;
 use vd_group::message::GroupId;
+use vd_obs::{Ctr, Obs, ObsHandle};
 use vd_orb::sim::{DriverConfig, RequestDriver};
 use vd_simnet::prelude::*;
 use vd_simnet::time::SimDuration;
@@ -48,6 +50,8 @@ struct Cluster {
     world: World,
     replicas: Vec<ProcessId>,
     client: ProcessId,
+    /// Each replica's observability handle (`obs[i]` is replica i's).
+    obs: Vec<ObsHandle>,
 }
 
 fn cluster(n_replicas: u32, knobs: LowLevelKnobs, seed: u64) -> Cluster {
@@ -59,9 +63,15 @@ fn cluster(n_replicas: u32, knobs: LowLevelKnobs, seed: u64) -> Cluster {
     let mut world = World::new(topo, seed);
     let members: Vec<ProcessId> = (0..n_replicas as u64).map(ProcessId).collect();
     let mut replicas = Vec::new();
+    let mut obs = Vec::new();
     for i in 0..n_replicas {
+        let replica_obs = Obs::disabled();
+        obs.push(replica_obs.clone());
         let config = ReplicaConfig {
             knobs,
+            // Data-plane batching on: up to 4 multicasts per frame.
+            group_config: GroupConfig::default().batch_max_messages(4),
+            obs: replica_obs,
             ..ReplicaConfig::for_group(GroupId(1))
         };
         let pid = world.spawn(
@@ -93,6 +103,7 @@ fn cluster(n_replicas: u32, knobs: LowLevelKnobs, seed: u64) -> Cluster {
         world,
         replicas,
         client,
+        obs,
     }
 }
 
@@ -101,7 +112,6 @@ fn delta_knobs() -> LowLevelKnobs {
         .style(ReplicationStyle::WarmPassive)
         .num_replicas(3)
         .checkpoint_full_every(5)
-        .batch_max_messages(4)
 }
 
 fn completed(world: &World, client: ProcessId) -> u64 {
@@ -130,18 +140,20 @@ fn deltas_carry_the_checkpoint_traffic_and_backups_stay_current() {
     assert_eq!(completed(&c.world, c.client), 200);
     assert_eq!(counter_value(&c.world, c.replicas[0]), 200);
 
-    let primary = c.world.actor_ref::<ReplicaActor>(c.replicas[0]).unwrap();
-    let acct = primary.checkpoints();
-    assert!(acct.full_sent >= 1, "chain anchors on full snapshots");
+    let primary = &c.obs[0].metrics;
+    let full_sent = primary.counter(Ctr::CkptFullSent);
+    let deltas_sent = primary.counter(Ctr::CkptDeltaSent);
+    assert!(full_sent >= 1, "chain anchors on full snapshots");
     assert!(
-        acct.deltas_sent >= acct.full_sent,
-        "with full_every=5 most checkpoints are deltas: {acct:?}"
+        deltas_sent >= full_sent,
+        "with full_every=5 most checkpoints are deltas: {full_sent} full, {deltas_sent} delta"
     );
-    // The whole point: a delta frame is a fraction of a full frame. The
-    // padded state makes fulls ≥ 4 KiB while deltas carry ~8 changed
-    // bytes, so the average sizes must differ by far more than 2×.
-    let avg_full = acct.full_bytes / acct.full_sent;
-    let avg_delta = acct.delta_bytes / acct.deltas_sent;
+    // The whole point: a delta is a fraction of a full snapshot. Every
+    // full one carries the whole padded state, while deltas carry ~8
+    // changed bytes, so the average sizes must differ by far more than 2×.
+    let avg_full = (8 + STATE_PAD) as u64;
+    let delta_bytes = primary.counter(Ctr::CkptBytesSent) - full_sent * avg_full;
+    let avg_delta = delta_bytes / deltas_sent;
     assert!(
         avg_delta * 2 < avg_full,
         "deltas ({avg_delta} B avg) should undercut fulls ({avg_full} B avg) by ≥2x"
@@ -149,9 +161,9 @@ fn deltas_carry_the_checkpoint_traffic_and_backups_stay_current() {
 
     // Backups tracked the primary through the delta chain: state is
     // current up to checkpoint lag, and no delta was ever rejected.
-    for &r in &c.replicas[1..] {
-        let backup = c.world.actor_ref::<ReplicaActor>(r).unwrap();
-        assert_eq!(backup.checkpoints().rejected_deltas, 0, "replica {r}");
+    for (i, &r) in c.replicas.iter().enumerate().skip(1) {
+        let rejected = c.obs[i].metrics.counter(Ctr::CkptRejected);
+        assert_eq!(rejected, 0, "replica {r}");
         assert!(counter_value(&c.world, r) > 0, "replica {r} never synced");
     }
 }
@@ -170,8 +182,7 @@ fn failover_under_delta_mode_loses_nothing() {
     assert_eq!(counter_value(&c.world, c.replicas[1]), 200);
     // And its own chain restarted with a full snapshot, so the remaining
     // backup kept in sync without rejections after the takeover.
-    let backup = c.world.actor_ref::<ReplicaActor>(c.replicas[2]).unwrap();
-    assert_eq!(backup.checkpoints().rejected_deltas, 0);
+    assert_eq!(c.obs[2].metrics.counter(Ctr::CkptRejected), 0);
 }
 
 #[test]

@@ -2,10 +2,14 @@
 //! counter over group communication inside the deterministic simulator,
 //! under crashes and runtime style switches.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use vd_core::prelude::*;
+use vd_group::config::GroupConfig;
 use vd_group::message::GroupId;
+use vd_obs::{Ctr, EventKind, Hist, Obs, ObsHandle, TraceSink};
 use vd_orb::sim::{DriverConfig, RequestDriver};
 use vd_simnet::prelude::*;
 use vd_simnet::time::SimDuration;
@@ -51,11 +55,33 @@ struct Cluster {
     world: World,
     replicas: Vec<ProcessId>,
     clients: Vec<ProcessId>,
+    /// Each replica's observability handle (`obs[i]` is replica i's).
+    obs: Vec<ObsHandle>,
 }
 
 /// Builds `n_replicas` replicas (nodes 0..n) and `n_clients` clients
 /// (each on its own node after the replicas).
 fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) -> Cluster {
+    cluster_with(
+        n_replicas,
+        n_clients,
+        style,
+        seed,
+        GroupConfig::default(),
+        Obs::disabled,
+    )
+}
+
+/// [`cluster`], with the replicas' group-communication settings and each
+/// replica's observability handle from `new_obs`.
+fn cluster_with(
+    n_replicas: u32,
+    n_clients: u32,
+    style: ReplicationStyle,
+    seed: u64,
+    group_config: GroupConfig,
+    new_obs: impl Fn() -> ObsHandle,
+) -> Cluster {
     let mut topo = Topology::full_mesh(n_replicas + n_clients);
     topo.set_default_link(LinkConfig::with_latency(LatencyModel::uniform(
         SimDuration::from_micros(50),
@@ -64,11 +90,16 @@ fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) 
     let mut world = World::new(topo, seed);
     let members: Vec<ProcessId> = (0..n_replicas as u64).map(ProcessId).collect();
     let mut replicas = Vec::new();
+    let mut obs = Vec::new();
     for i in 0..n_replicas {
+        let replica_obs = new_obs();
+        obs.push(replica_obs.clone());
         let config = ReplicaConfig {
             knobs: LowLevelKnobs::default()
                 .style(style)
                 .num_replicas(n_replicas as usize),
+            group_config,
+            obs: replica_obs,
             ..ReplicaConfig::for_group(GroupId(1))
         };
         let pid = world.spawn(
@@ -105,6 +136,7 @@ fn cluster(n_replicas: u32, n_clients: u32, style: ReplicationStyle, seed: u64) 
         world,
         replicas,
         clients,
+        obs,
     }
 }
 
@@ -158,18 +190,92 @@ fn warm_passive_only_primary_executes() {
     let mut c = cluster(3, 1, ReplicationStyle::WarmPassive, 2);
     c.world.run_for(SimDuration::from_secs(5));
     assert_eq!(completed(&c.world, c.clients[0]), 200);
-    let primary = c.world.actor_ref::<ReplicaActor>(c.replicas[0]).unwrap();
-    assert_eq!(primary.executed_requests(), 200);
-    for &r in &c.replicas[1..] {
-        let backup = c.world.actor_ref::<ReplicaActor>(r).unwrap();
-        assert_eq!(
-            backup.executed_requests(),
-            0,
-            "backup {r} executed requests"
-        );
+    let executed = |i: usize| c.obs[i].metrics.counter(Ctr::RepExecuted);
+    assert_eq!(executed(0), 200);
+    for (i, &r) in c.replicas.iter().enumerate().skip(1) {
+        assert_eq!(executed(i), 0, "backup {r} executed requests");
         // But checkpoints kept its state close to the primary's.
         assert!(counter_value(&replica_state(&c.world, r)) > 0);
     }
+}
+
+#[test]
+fn checkpoints_count_only_where_the_engine_applies_them() {
+    // Fault-free warm passive: the primary sends every checkpoint and
+    // applies none, not even its own copy. A backup applies each
+    // checkpoint whose version it has not reached yet; the copies that
+    // repeat a version (no request ran in between) are stale and do not
+    // count.
+    let sink = Arc::new(TraceSink::enabled());
+    let mut c = cluster_with(
+        3,
+        1,
+        ReplicationStyle::WarmPassive,
+        2,
+        GroupConfig::default(),
+        || Obs::with_trace(Arc::clone(&sink)),
+    );
+    c.world.run_for(SimDuration::from_secs(5));
+    assert_eq!(completed(&c.world, c.clients[0]), 200);
+    let events = sink.snapshot();
+    assert_eq!(
+        events.len() as u64,
+        sink.total_emitted(),
+        "the ring wrapped"
+    );
+    let primary = c.replicas[0].0;
+    let mut fresh: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CheckpointSent { version, .. } => {
+                assert_eq!(e.actor, primary, "only the primary checkpoints");
+                Some(version)
+            }
+            _ => None,
+        })
+        .collect();
+    let sent = fresh.len();
+    fresh.dedup();
+    fresh.retain(|&version| version > 0);
+    assert!(
+        fresh.len() > 1 && fresh.len() < sent,
+        "{sent} sent, {fresh:?}"
+    );
+    for (i, &r) in c.replicas.iter().enumerate() {
+        let applied: Vec<u64> = events
+            .iter()
+            .filter(|e| e.actor == r.0)
+            .filter_map(|e| match e.kind {
+                EventKind::CheckpointApplied { version, .. } => Some(version),
+                _ => None,
+            })
+            .collect();
+        let expected = if i == 0 { Vec::new() } else { fresh.clone() };
+        assert_eq!(applied, expected, "replica {r}");
+        assert_eq!(
+            c.obs[i].metrics.counter(Ctr::CkptApplied),
+            expected.len() as u64,
+            "replica {r}"
+        );
+    }
+}
+
+#[test]
+fn group_config_sets_the_batching_limit() {
+    // The replica hands its `group_config` to the endpoint as it is, so
+    // batching is on once the config says so.
+    let batching = GroupConfig::default().batch_max_messages(8);
+    let mut c = cluster_with(3, 3, ReplicationStyle::Active, 5, batching, Obs::disabled);
+    c.world.run_for(SimDuration::from_secs(5));
+    for &client in &c.clients {
+        assert_eq!(completed(&c.world, client), 200);
+    }
+    let largest = c
+        .obs
+        .iter()
+        .map(|obs| obs.metrics.hist(Hist::BatchOccupancy).max)
+        .max();
+    assert!(largest > Some(1), "largest batch {largest:?}");
 }
 
 #[test]

@@ -24,6 +24,7 @@ use bytes::Bytes;
 
 use vd_core::invariants::SwitchInvariants;
 use vd_core::prelude::*;
+use vd_group::config::GroupConfig;
 use vd_group::message::GroupId;
 use vd_orb::object::ObjectKey;
 use vd_orb::wire::{OrbMessage, Request};
@@ -78,7 +79,11 @@ fn client_request(request_id: u64) -> OrbMessage {
 /// Builds a settled three-replica Active cluster and leaves it with client
 /// requests and a `Switch(WarmPassive)` command concurrently in flight —
 /// the adversarial window the explorer branches over.
-fn switch_world_with(knobs: LowLevelKnobs, switch_to: ReplicationStyle) -> World {
+fn switch_world_with(
+    knobs: LowLevelKnobs,
+    group_config: GroupConfig,
+    switch_to: ReplicationStyle,
+) -> World {
     let mut topo = Topology::full_mesh(3);
     topo.set_default_link(LinkConfig::with_latency(LatencyModel::uniform(
         SimDuration::from_micros(50),
@@ -89,6 +94,7 @@ fn switch_world_with(knobs: LowLevelKnobs, switch_to: ReplicationStyle) -> World
     for i in 0..3u32 {
         let config = ReplicaConfig {
             knobs,
+            group_config,
             ..ReplicaConfig::for_group(GroupId(1))
         };
         let pid = world.spawn(
@@ -124,6 +130,7 @@ fn switch_world() -> World {
         LowLevelKnobs::default()
             .style(ReplicationStyle::Active)
             .num_replicas(3),
+        GroupConfig::default(),
         ReplicationStyle::WarmPassive,
     )
 }
@@ -137,8 +144,8 @@ fn delta_switch_world() -> World {
         LowLevelKnobs::default()
             .style(ReplicationStyle::WarmPassive)
             .num_replicas(3)
-            .checkpoint_full_every(4)
-            .batch_max_messages(2),
+            .checkpoint_full_every(4),
+        GroupConfig::default().batch_max_messages(2),
         ReplicationStyle::Active,
     )
 }

@@ -21,9 +21,11 @@
 //! timestamped inputs and returns explicit outputs, so it can be driven by
 //! unit tests or by property tests exploring adversarial schedules. Every
 //! running process hosts its endpoints in a [`multi::MultiEndpoint`] — one
-//! group or many — which adds the process-level failure detector. In the
-//! deterministic simulator, group-level tests host it in a
-//! [`sim::MultiGroupMemberActor`].
+//! group or many — which adds the process-level failure detector. An actor
+//! hosting it performs its outputs on its `vd-simnet` context through
+//! [`sim::apply_multi_outputs`], whether the simulator or a real node
+//! runs the actor. In the deterministic simulator, group-level tests host
+//! it in a [`sim::MultiGroupMemberActor`].
 //!
 //! # Examples
 //!
@@ -55,7 +57,6 @@ pub mod multi;
 pub mod order;
 pub mod sim;
 pub mod stream;
-pub mod transport;
 pub mod vclock;
 pub mod view;
 

@@ -1,11 +1,11 @@
-//! Simulator adapter: hosts a [`MultiEndpoint`] as a `vd-simnet` actor.
+//! Actor adapter: hosts a [`MultiEndpoint`] on a `vd-simnet` [`Context`].
 //!
-//! The adapter performs the multiplexer's [`MultiOutput`]s — sending
-//! [`GroupMsg`]s and process heartbeats through the simulated network,
-//! arming timers, and recording surfaced [`GroupEvent`]s for inspection.
-//! Higher layers (the replicator) embed [`MultiEndpoint`] in their own
-//! actors instead; [`MultiGroupMemberActor`] is the one simulator fixture
-//! for group-level tests and benchmarks, with one hosted group or many.
+//! [`apply_multi_outputs`] performs the multiplexer's [`MultiOutput`]s —
+//! sending [`GroupMsg`]s and process heartbeats, arming timers — and
+//! hands surfaced [`GroupEvent`]s to the caller. Every actor embedding a
+//! [`MultiEndpoint`] goes through it: the replicator, and
+//! [`MultiGroupMemberActor`], the one simulator fixture for group-level
+//! tests and benchmarks, with one hosted group or many.
 
 use bytes::Bytes;
 
@@ -17,7 +17,6 @@ use crate::api::{Delivery, GroupEvent, GroupTimer};
 use crate::message::{GroupId, GroupMsg};
 use crate::multi::{MultiEndpoint, MultiOutput, MultiTimer, ProcessHeartbeat};
 use crate::order::DeliveryOrder;
-use crate::transport::{perform_multi_outputs, SimTransport};
 use crate::view::{View, ViewId};
 
 /// Encodes a [`GroupTimer`] as the low half of a simulator timer token.
@@ -97,21 +96,29 @@ pub fn multi_timer_from_token(token: TimerToken) -> Option<MultiTimer> {
     }
 }
 
-/// Applies multiplexed-endpoint outputs through an actor context, invoking
-/// `on_event` for every surfaced `(group, event)` pair. Used by any actor
-/// embedding a [`MultiEndpoint`].
+/// Performs multiplexed-endpoint outputs on an actor context, invoking
+/// `on_event` for every surfaced `(group, event)` pair. Every actor that
+/// embeds a [`MultiEndpoint`] calls it.
 ///
-/// This is the simulator instantiation of the transport seam: the same
-/// effects, performed through [`SimTransport`] instead of a socket (see
-/// [`crate::transport`]).
+/// Sends and timers become the context's [`Action`](vd_simnet::actor::Action)s,
+/// in output order. The simulator's `World` performs those actions, and
+/// so does the real node's event loop, which drives the same actor through
+/// [`Context::external`]: this one match is the whole effect vocabulary
+/// the two backends share.
 pub fn apply_multi_outputs<F>(ctx: &mut Context<'_>, outputs: Vec<MultiOutput>, mut on_event: F)
 where
     F: FnMut(&mut Context<'_>, GroupId, GroupEvent),
 {
-    let mut transport = SimTransport::new(ctx);
-    perform_multi_outputs(&mut transport, outputs, |t, group, event| {
-        on_event(t.ctx(), group, event);
-    });
+    for output in outputs {
+        match output {
+            MultiOutput::Send { to, msg } => ctx.send(to, msg),
+            MultiOutput::Heartbeat { to, msg } => ctx.send(to, msg),
+            MultiOutput::SetTimer { delay, timer } => {
+                ctx.set_timer(delay, multi_timer_token(timer));
+            }
+            MultiOutput::Event { group, event } => on_event(ctx, group, event),
+        }
+    }
 }
 
 /// Harness commands injected into a [`MultiGroupMemberActor`].
@@ -198,16 +205,12 @@ impl MultiGroupMemberActor {
     }
 
     fn absorb(&mut self, ctx: &mut Context<'_>, outputs: Vec<MultiOutput>) {
-        let mut events = Vec::new();
         apply_multi_outputs(ctx, outputs, |_ctx, group, event| {
-            events.push((group, event));
-        });
-        for (group, event) in events {
             if let GroupEvent::Delivered(d) = &event {
                 self.deliveries.push(d.clone());
             }
             self.events.push((group, event));
-        }
+        });
     }
 }
 
@@ -280,6 +283,96 @@ impl std::fmt::Debug for MultiGroupMemberActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vd_simnet::actor::Action;
+    use vd_simnet::rng::DeterministicRng;
+    use vd_simnet::time::SimTime;
+    use vd_simnet::topology::NodeId;
+
+    #[test]
+    fn multi_outputs_become_context_actions_in_order() {
+        let mut rng = DeterministicRng::new(1);
+        let mut next_pid = 100;
+        let mut ctx = Context::external(
+            SimTime::ZERO,
+            ProcessId(1),
+            NodeId(0),
+            &mut rng,
+            &mut next_pid,
+        );
+        let flush_done = |group| GroupMsg::FlushDone {
+            group,
+            proposal_id: ViewId(0),
+        };
+        let outputs = vec![
+            MultiOutput::Send {
+                to: ProcessId(2),
+                msg: flush_done(GroupId(0)),
+            },
+            MultiOutput::Heartbeat {
+                to: ProcessId(3),
+                msg: ProcessHeartbeat {
+                    sections: Vec::new(),
+                },
+            },
+            MultiOutput::SetTimer {
+                delay: SimDuration::from_millis(5),
+                timer: MultiTimer::Heartbeat,
+            },
+            MultiOutput::Event {
+                group: GroupId(0),
+                event: GroupEvent::Blocked,
+            },
+            MultiOutput::Send {
+                to: ProcessId(4),
+                msg: flush_done(GroupId(7)),
+            },
+        ];
+        let mut events = Vec::new();
+        apply_multi_outputs(&mut ctx, outputs, |ctx, group, event| {
+            // The callback acts on the same context, between the outputs
+            // around its event.
+            ctx.cancel_timer(TimerToken(99));
+            events.push((group, event));
+        });
+        assert!(matches!(
+            events.as_slice(),
+            [(GroupId(0), GroupEvent::Blocked)]
+        ));
+        let actions = ctx.drain_actions();
+        assert_eq!(actions.len(), 5, "{actions:?}");
+        let mut actions = actions.into_iter();
+        let first = sent_to(actions.next(), 2);
+        assert_eq!(
+            downcast_payload::<GroupMsg>(first).unwrap().group(),
+            GroupId(0)
+        );
+        assert!(downcast_payload::<ProcessHeartbeat>(sent_to(actions.next(), 3)).is_ok());
+        assert!(matches!(
+            actions.next(),
+            Some(Action::SetTimer { delay, token })
+                if delay == SimDuration::from_millis(5)
+                    && token == multi_timer_token(MultiTimer::Heartbeat)
+        ));
+        assert!(matches!(
+            actions.next(),
+            Some(Action::CancelTimer {
+                token: TimerToken(99)
+            })
+        ));
+        let last = sent_to(actions.next(), 4);
+        assert_eq!(
+            downcast_payload::<GroupMsg>(last).unwrap().group(),
+            GroupId(7)
+        );
+    }
+
+    /// The payload of `action`, which must be a send to `dst`.
+    fn sent_to(action: Option<Action>, dst: u64) -> Box<dyn Payload> {
+        match action {
+            Some(Action::Send { dst: to, payload }) if to == ProcessId(dst) => payload,
+            other => panic!("expected a send to {dst}, got {other:?}"),
+        }
+    }
 
     #[test]
     fn timer_tokens_round_trip() {

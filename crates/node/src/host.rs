@@ -13,8 +13,9 @@
 //!
 //! Protocol actors (`ReplicaActor`, the recovery manager, …) run
 //! *unchanged*: they speak the sans-IO `Context`/`Action` contract, and
-//! this module is simply a second scheduler for it, performing each
-//! handler's actions through the node's UDP transport.
+//! this module is simply a second scheduler for it. `perform` carries
+//! out each handler's actions: sends go through the node's `Wire`,
+//! timers land on the actor's [`TimerWheel`].
 //!
 //! **Supervision.** Every handler call — `on_start` together with the
 //! factory that builds the incarnation, `on_timer` and `on_message`, each
@@ -45,7 +46,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use vd_group::transport::Transport;
 use vd_obs::registry::Ctr;
 use vd_obs::ObsHandle;
 use vd_simnet::actor::{Action, Actor, Context};
@@ -55,7 +55,7 @@ use vd_simnet::topology::{NodeId, ProcessId};
 
 use crate::codec;
 use crate::log::NodeLog;
-use crate::transport::{TimerWheel, UdpTransport, Wire, MAX_DATAGRAM};
+use crate::transport::{TimerWheel, Wire, MAX_DATAGRAM};
 
 /// Builds one incarnation of an actor. Called on the node's loop thread;
 /// the argument is the restart attempt (0 = first start), letting the
@@ -390,11 +390,7 @@ impl EventLoop {
             handler(inc.actor.as_mut(), &mut ctx);
             let actions = ctx.drain_actions();
             drop(ctx);
-            perform(
-                &mut UdpTransport::new(pid, wire, &mut inc.wheel),
-                log,
-                actions,
-            )
+            perform(pid, wire, &mut inc.wheel, log, actions)
         }));
         match outcome {
             Ok(false) => {}
@@ -438,21 +434,28 @@ impl EventLoop {
     }
 }
 
-/// Performs a handler's deferred actions against the real transport;
-/// returns whether the actor stopped itself.
+/// Performs `pid`'s deferred actions: sends go out as `pid` through the
+/// node's [`Wire`], timers land on `pid`'s wheel, `delay` from the node
+/// clock's reading when the action is performed. Returns whether the
+/// actor stopped itself.
 ///
 /// `Spawn` and `Kill`-of-another-actor are simulator-only harness powers
 /// (worlds conjure processes; real clusters start them out-of-band) — on
 /// this backend they log and no-op, which the parity contract in
 /// `DESIGN.md` §16 spells out. `Kill` of *self* maps to an orderly stop.
-fn perform(transport: &mut UdpTransport<'_>, log: &NodeLog, actions: Vec<Action>) -> bool {
-    let pid = transport.local();
+fn perform(
+    pid: ProcessId,
+    wire: &mut Wire,
+    wheel: &mut TimerWheel,
+    log: &NodeLog,
+    actions: Vec<Action>,
+) -> bool {
     let mut stopped = false;
     for action in actions {
         match action {
-            Action::Send { dst, payload } => transport.send_frame(dst, payload),
-            Action::SetTimer { delay, token } => transport.set_timer(delay, token),
-            Action::CancelTimer { token } => transport.cancel_timer(token),
+            Action::Send { dst, payload } => wire.send(pid, dst, payload.as_ref()),
+            Action::SetTimer { delay, token } => wheel.set(wire.now() + delay, token),
+            Action::CancelTimer { token } => wheel.cancel(token),
             Action::Kill { pid: target } if target == pid => stopped = true,
             Action::Kill { pid: target } => {
                 log.line(&format!(

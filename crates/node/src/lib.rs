@@ -2,9 +2,13 @@
 //!
 //! Everything else in this workspace runs the replication stack inside
 //! the deterministic simulator. This crate runs the *same protocol code*
-//! on real UDP sockets and OS threads: it is the deployment backend of
-//! the two-implementation transport seam
-//! ([`vd_group::transport::Transport`]), with the simulator remaining
+//! on real UDP sockets and OS threads. The seam both backends share is
+//! the simulator's own: every actor handler runs on a
+//! [`Context`](vd_simnet::actor::Context) (here built with
+//! `Context::external`) and leaves its effects as
+//! [`Action`](vd_simnet::actor::Action)s. The simulator's world performs
+//! them on its model network; this crate's event loop performs them on a
+//! socket and per-actor timer wheels ([`transport`]). The simulator stays
 //! the model-checked twin.
 //!
 //! The runtime is one event loop per node (`DESIGN.md` §16):

@@ -1,9 +1,9 @@
-//! The real-network [`Transport`]: the node socket's send side, one timer
+//! The node's side of the network: the socket's send half, one timer
 //! wheel per hosted actor, and the egress-delay shim.
 //!
-//! This is the second implementation of the seam carved out of the group
-//! layer (`vd_group::transport::Transport`); the first is the simulator's
-//! [`vd_group::transport::SimTransport`]. The parity contract is strict:
+//! The node's event loop ([`crate::host`]) performs each handler's
+//! `vd_simnet::actor::Action`s with these, the way the simulator's world
+//! performs them with its own queues. The parity contract is strict:
 //!
 //! * **Sends** become one UDP datagram per frame via [`crate::codec`],
 //!   *including node-local destinations* — a frame between two actors on
@@ -18,12 +18,9 @@
 //! * **The clock** is the node-local [`NodeClock`] — protocol code reads
 //!   `SimTime` either way and cannot tell the backends apart.
 //!
-//! Everything here belongs to the node's one event-loop thread
-//! ([`crate::host`]): the socket, every actor's wheel and the shim's queue
-//! live on that thread, so none of it takes a lock. A `UdpTransport` is a
-//! short-lived view the loop builds around one handler call: it sends as
-//! that handler's pid through the node's `Wire` and arms timers on that
-//! actor's wheel. The receive half is the loop itself.
+//! Everything here belongs to the node's one event-loop thread: the
+//! socket, every actor's wheel and the shim's queue live on that thread,
+//! so none of it takes a lock. The receive half is the loop itself.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::net::{SocketAddr, UdpSocket};
@@ -32,7 +29,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use vd_group::transport::Transport;
 use vd_obs::registry::Ctr;
 use vd_obs::ObsHandle;
 use vd_simnet::actor::{Payload, TimerToken};
@@ -223,7 +219,7 @@ impl Wire {
 
     /// Encodes `frame` from `from` to `to` and sends it, or parks it in
     /// the shim while an egress delay is armed.
-    fn send(&mut self, from: ProcessId, to: ProcessId, frame: &dyn Payload) {
+    pub(crate) fn send(&mut self, from: ProcessId, to: ProcessId, frame: &dyn Payload) {
         let Some(addr) = self.peers.get(&to).copied() else {
             self.log
                 .line(&format!("drop: no peer address for {to:?} (from {from:?})"));
@@ -266,44 +262,6 @@ impl Wire {
     fn count_sent(&self, bytes: usize) {
         self.obs.metrics.incr(Ctr::NodeFramesSent);
         self.obs.metrics.add(Ctr::NodeBytesSent, bytes as u64);
-    }
-}
-
-/// The [`Transport`] one handler call performs its actions through: sends
-/// go out as `me` through the node's [`Wire`], timers land on `me`'s wheel.
-pub(crate) struct UdpTransport<'a> {
-    me: ProcessId,
-    wire: &'a mut Wire,
-    wheel: &'a mut TimerWheel,
-}
-
-impl<'a> UdpTransport<'a> {
-    /// A transport acting for `me`.
-    pub(crate) fn new(me: ProcessId, wire: &'a mut Wire, wheel: &'a mut TimerWheel) -> Self {
-        UdpTransport { me, wire, wheel }
-    }
-}
-
-impl Transport for UdpTransport<'_> {
-    fn now(&self) -> SimTime {
-        self.wire.now()
-    }
-
-    fn local(&self) -> ProcessId {
-        self.me
-    }
-
-    fn send_frame(&mut self, to: ProcessId, frame: Box<dyn Payload>) {
-        self.wire.send(self.me, to, frame.as_ref());
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let at = self.wire.now() + delay;
-        self.wheel.set(at, token);
-    }
-
-    fn cancel_timer(&mut self, token: TimerToken) {
-        self.wheel.cancel(token);
     }
 }
 

@@ -4,12 +4,15 @@
 # The simulator is deterministic, so a change that claims "same behaviour"
 # must leave every seeded gate's output byte-identical. This script builds
 # `experiments` (with `check-invariants`) from a temporary checkout of
-# <rev> and from the working tree, runs the `trace`, `chaos` and `shard`
-# gates and the paper's figures (`fig3 fig4 fig6 fig7 fig8 fig9
+# <rev> and from the working tree, runs the `trace`, `chaos`, `shard` and
+# `fanout` gates and the paper's figures (`fig3 fig4 fig6 fig7 fig8 fig9
 # ablation`) of each in a directory of its own, then compares:
 #   - trace_switch.jsonl, trace_failslow.jsonl, BENCH_PR4.json,
 #     BENCH_PR5.json and BENCH_PR9.json byte for byte (`cmp`);
-#   - the ten printed reports and the exit codes (`diff`).
+#   - BENCH_PR2.json and BENCH_PR3.json with their wall-clock figures
+#     masked (scripts/mask-wall-clock.sh);
+#   - the eleven printed reports (fanout's masked the same way) and the
+#     exit codes (`diff`).
 # It names the first difference and exits non-zero, or prints one line and
 # exits zero when everything matches.
 #
@@ -32,8 +35,8 @@ build() {
         -p vd-bench --features check-invariants --bin experiments --target-dir "$2"
 }
 
-# The seeded experiments compared: three gates, then the paper's figures.
-experiments="trace chaos shard fig3 fig4 fig6 fig7 fig8 fig9 ablation"
+# The seeded experiments compared: four gates, then the paper's figures.
+experiments="trace chaos shard fanout fig3 fig4 fig6 fig7 fig8 fig9 ablation"
 
 # run <experiments binary> <output dir>: runs every seeded experiment there.
 run() {
@@ -52,7 +55,17 @@ echo "same-behaviour: running $experiments on both" >&2
 run "$tmp/checkout-target/release/experiments" "$tmp/base"
 run "$root/target/release/experiments" "$tmp/tree"
 
-for file in trace_switch.jsonl trace_failslow.jsonl BENCH_PR4.json BENCH_PR5.json BENCH_PR9.json; do
+# fanout's wall-clock figures differ from run to run; compare the rest.
+mask="$root/scripts/mask-wall-clock.sh"
+for dir in "$tmp/base" "$tmp/tree"; do
+    for file in BENCH_PR2.json BENCH_PR3.json fanout.txt; do
+        "$mask" "$dir/$file" > "$dir/$file.masked"
+        mv -- "$dir/$file.masked" "$dir/$file"
+    done
+done
+
+for file in trace_switch.jsonl trace_failslow.jsonl BENCH_PR4.json BENCH_PR5.json BENCH_PR9.json \
+    BENCH_PR2.json BENCH_PR3.json; do
     if ! cmp -- "$tmp/base/$file" "$tmp/tree/$file" >&2; then
         echo "same-behaviour: $file differs from $rev" >&2
         exit 1
@@ -65,4 +78,4 @@ for report in exit-codes $experiments; do
         exit 1
     fi
 done
-echo "same-behaviour: identical to $rev (5 exported files, 10 reports, exit codes)"
+echo "same-behaviour: identical to $rev (7 exported files, 11 reports, exit codes)"
