@@ -6,8 +6,9 @@
 //! prints the per-iteration mean, minimum and maximum.
 //!
 //! Wall-clock timing is inherently nondeterministic; that is fine here
-//! because benches report performance, not correctness, and `vd-check`
-//! deliberately leaves `crates/bench` outside the determinism lint scope.
+//! because benches report performance, not correctness, and vd-bench
+//! deliberately stays outside the determinism lint rules (its manifest
+//! allows clippy.toml's disallowed types and methods).
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -194,6 +194,12 @@ impl Actor for OpenLoopClientActor {
             self.send_one(ctx);
         }
     }
+
+    /// `None`: no explored world runs an open-loop generator, so it opts
+    /// out of pruning.
+    fn state_digest(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl std::fmt::Debug for OpenLoopClientActor {

@@ -140,10 +140,14 @@ pub struct Engine {
     /// it stays in the group (it is alive, just slow) but primaryship
     /// moves to the lowest healthy member. Cleared when it departs.
     demoted: Option<ProcessId>,
-    /// Set on the incoming primary of a demotion under a checkpointing
-    /// style, until the outgoing primary's handover checkpoint lands
-    /// (the demotion analogue of `awaiting_final_checkpoint`).
-    awaiting_demotion_checkpoint: bool,
+    /// The demotion window: open at every synced replica from an accepted
+    /// demotion under a checkpointing style until the laggard's handover
+    /// checkpoint is delivered, the laggard leaves the view, or it is the
+    /// last member left (the demotion analogue of
+    /// `awaiting_final_checkpoint`). Every replica discards switch and
+    /// demotion requests delivered inside it, and whoever is primary
+    /// holds execution until it closes.
+    demotion_window: bool,
     /// Highest request id delivered per client (duplicate suppression).
     last_delivered: BTreeMap<ProcessId, u64>,
 }
@@ -173,7 +177,7 @@ impl Engine {
             stored_checkpoint: None,
             awaiting_final_checkpoint: false,
             demoted: None,
-            awaiting_demotion_checkpoint: false,
+            demotion_window: false,
             last_delivered: BTreeMap::new(),
         };
         let mut ops = Vec::new();
@@ -227,10 +231,10 @@ impl Engine {
         self.awaiting_final_checkpoint
     }
 
-    /// Whether a primaryship demotion is waiting for its handover
-    /// checkpoint (the incoming primary holds execution until then).
+    /// Whether this replica is the primary and holds execution until a
+    /// demotion's handover checkpoint lands (the demotion window is open).
     pub fn is_demoting(&self) -> bool {
-        self.awaiting_demotion_checkpoint
+        self.demotion_window && self.is_primary()
     }
 
     /// The member currently barred from primaryship by a gray-failure
@@ -261,7 +265,7 @@ impl Engine {
         self.buffered.clear();
         self.awaiting_final_checkpoint = false;
         self.demoted = None;
-        self.awaiting_demotion_checkpoint = false;
+        self.demotion_window = false;
     }
 
     fn i_reply(&self) -> bool {
@@ -273,7 +277,7 @@ impl Engine {
     }
 
     fn i_execute_now(&self) -> bool {
-        if !self.synced || self.awaiting_final_checkpoint || self.awaiting_demotion_checkpoint {
+        if !self.synced || self.awaiting_final_checkpoint || self.demotion_window {
             return false;
         }
         if self.style.all_replicas_execute() {
@@ -417,18 +421,21 @@ impl Engine {
             }
             return ops;
         }
-        if self.awaiting_demotion_checkpoint && final_for_switch {
+        if self.demotion_window && final_for_switch {
             // Demotion handover (Fig. 5 case 1 applied to primaryship):
-            // the outgoing laggard primary's final checkpoint carries the
-            // exact pre-demotion prefix. Apply it, then take over
-            // execution and checkpointing as the new primary.
-            self.adopt_checkpoint(&mut ops, (version, state, replies), false);
-            self.awaiting_demotion_checkpoint = false;
-            self.drain_backlog_if_executing(&mut ops);
-            if self.style.uses_checkpoints() && self.is_primary() {
-                ops.push(EngineOp::StartCheckpointTimer);
+            // the laggard's final checkpoint closes the window everywhere.
+            // It carries the exact pre-demotion prefix: the primary applies
+            // it, then takes over execution and checkpointing. Every other
+            // replica takes it like any other checkpoint.
+            self.demotion_window = false;
+            if self.is_primary() {
+                self.adopt_checkpoint(&mut ops, (version, state, replies), false);
+                self.drain_backlog_if_executing(&mut ops);
+                if self.style.uses_checkpoints() {
+                    ops.push(EngineOp::StartCheckpointTimer);
+                }
+                return ops;
             }
-            return ops;
         }
         if self.awaiting_final_checkpoint && final_for_switch {
             // Paper Fig. 5, case 1, step III: apply the one-more checkpoint,
@@ -470,10 +477,12 @@ impl Engine {
     /// the state handover. Delivered in agreed order, so every replica
     /// applies the same guards and transfers at the same point in the
     /// request stream. Duplicates, stale targets (no longer primary) and
-    /// demotions with no healthy successor are discarded.
+    /// demotions with no healthy successor are discarded. Under a
+    /// checkpointing style an accepted demotion opens the demotion window
+    /// at every replica (see `demotion_window`).
     pub fn on_demote_request(&mut self, laggard: ProcessId) -> Vec<EngineOp> {
         let mut ops = Vec::new();
-        if !self.synced || self.awaiting_final_checkpoint || self.awaiting_demotion_checkpoint {
+        if !self.synced || self.awaiting_final_checkpoint || self.demotion_window {
             return ops; // mid-switch or mid-demotion: discarded
         }
         if self.demoted == Some(laggard)
@@ -484,6 +493,10 @@ impl Engine {
         }
         self.demoted = Some(laggard);
         if self.style.uses_checkpoints() {
+            // Every replica opens the window: whoever is primary holds
+            // execution until the handover state lands (a backup's own
+            // state may trail it).
+            self.demotion_window = true;
             if self.me == laggard {
                 // Outgoing primary (alive, just slow): ship one final
                 // checkpoint — its state is exactly the delivered prefix,
@@ -493,10 +506,6 @@ impl Engine {
                     final_for_switch: true,
                 });
                 ops.push(EngineOp::StopCheckpointTimer);
-            } else if self.is_primary() {
-                // Incoming primary: hold execution until the handover
-                // state lands (the backup's own state may trail it).
-                self.awaiting_demotion_checkpoint = true;
             }
         } else if self.style.single_replier() && self.is_primary() {
             // Semi-active: followers are current — the new leader takes
@@ -512,7 +521,7 @@ impl Engine {
         let mut ops = Vec::new();
         if !self.synced
             || self.awaiting_final_checkpoint
-            || self.awaiting_demotion_checkpoint
+            || self.demotion_window
             || target == self.style
         {
             return ops; // duplicate, mid-switch or mid-demotion: discarded
@@ -589,24 +598,19 @@ impl Engine {
                 final_for_switch: false,
             });
         }
+        let mut handover_lost = false;
         if self.demoted.is_some_and(|d| !self.members.contains(&d)) {
             // The demoted laggard left the group (crashed for real, or
             // evicted for persistent lag): forget the bar. If its
             // handover checkpoint never arrived, none is coming — the
-            // incoming primary recovers like a passive failover.
+            // window closes and the primary recovers like a passive
+            // failover.
             self.demoted = None;
-            if self.awaiting_demotion_checkpoint {
-                self.awaiting_demotion_checkpoint = false;
-                if self.is_primary() {
-                    if self.style == ReplicationStyle::ColdPassive {
-                        self.restore_stored_checkpoint(&mut ops, true);
-                    }
-                    self.replay_backlog(&mut ops);
-                    if self.style.uses_checkpoints() {
-                        ops.push(EngineOp::StartCheckpointTimer);
-                    }
-                }
-            }
+            handover_lost = std::mem::take(&mut self.demotion_window);
+        } else if self.demotion_window && self.primary() == self.demoted {
+            // The laggard is the last member left and serves again: it
+            // holds the handover state itself, so nothing is awaited.
+            self.demotion_window = false;
         }
         let primary_died = old_primary.is_some_and(|p| departed.contains(&p));
         if self.awaiting_final_checkpoint && primary_died {
@@ -622,10 +626,12 @@ impl Engine {
             self.replay_backlog(&mut ops);
             return ops;
         }
-        if primary_died && self.style.single_replier() {
+        if (primary_died || handover_lost) && self.style.single_replier() {
             if self.style.uses_checkpoints() {
-                // Passive failover: the new primary recovers and replays.
-                if self.is_primary() {
+                // Passive failover: the new primary recovers and replays,
+                // unless a demotion's handover checkpoint, which it must
+                // apply first, is still in flight.
+                if self.is_primary() && !self.demotion_window {
                     if self.style == ReplicationStyle::ColdPassive {
                         self.restore_stored_checkpoint(&mut ops, true);
                     }
@@ -733,7 +739,7 @@ impl Engine {
             Some(d) => d.0.wrapping_add(1),
             None => 0,
         });
-        h.write_u8(u8::from(self.awaiting_demotion_checkpoint));
+        h.write_u8(u8::from(self.demotion_window));
         for (&client, &rid) in &self.last_delivered {
             h.write_u64(client.0);
             h.write_u64(rid);
@@ -784,9 +790,12 @@ mod tests {
 
     fn executed_entries(ops: &[EngineOp]) -> Vec<(u64, bool)> {
         ops.iter()
-            .filter_map(|op| match op {
-                EngineOp::Execute { entry, reply } => Some((entry.request_id, *reply)),
-                _ => None,
+            .filter_map(|op| {
+                if let EngineOp::Execute { entry, reply } = op {
+                    Some((entry.request_id, *reply))
+                } else {
+                    None
+                }
             })
             .collect()
     }
@@ -1227,6 +1236,100 @@ mod tests {
         assert_eq!(new.demoted(), None);
         assert_eq!(executed_entries(&ops), vec![(2, true), (3, true)]);
         assert!(ops.contains(&EngineOp::StartCheckpointTimer));
+    }
+
+    /// Three warm-passive replicas, each fed request 1, then `inputs`, then
+    /// request 2: returns every replica's engine and whether it executed
+    /// request 2.
+    fn demotion_window_trio(inputs: &[fn(&mut Engine) -> Vec<EngineOp>]) -> Vec<(Engine, bool)> {
+        (1..=3)
+            .map(|me| {
+                let (mut e, _) = trio(ReplicationStyle::WarmPassive, me);
+                invoke(&mut e, 100, 1);
+                for input in inputs {
+                    input(&mut e);
+                }
+                let executed = !executed_entries(&invoke(&mut e, 100, 2)).is_empty();
+                (e, executed)
+            })
+            .collect()
+    }
+
+    /// p1's handover checkpoint, as every replica delivers it.
+    fn handover(e: &mut Engine) -> Vec<EngineOp> {
+        e.on_checkpoint(
+            1,
+            ReplicationStyle::WarmPassive,
+            true,
+            Bytes::from_static(b"h"),
+            vec![],
+        )
+    }
+
+    #[test]
+    fn a_switch_inside_the_demotion_window_is_discarded_everywhere() {
+        let group = demotion_window_trio(&[
+            |e| e.on_demote_request(p(1)),
+            |e| e.on_switch_request(ReplicationStyle::Active),
+            handover,
+        ]);
+        for (e, _) in &group {
+            assert_eq!(
+                e.style(),
+                ReplicationStyle::WarmPassive,
+                "replica {:?}",
+                e.me
+            );
+            assert_eq!(e.primary(), Some(p(2)), "replica {:?}", e.me);
+        }
+        let executors: Vec<ProcessId> = group
+            .iter()
+            .filter(|(_, x)| *x)
+            .map(|(e, _)| e.me)
+            .collect();
+        assert_eq!(executors, vec![p(2)], "one replica executes as primary");
+    }
+
+    #[test]
+    fn a_second_demotion_inside_the_window_is_discarded_everywhere() {
+        let group = demotion_window_trio(&[
+            |e| e.on_demote_request(p(1)),
+            |e| e.on_demote_request(p(2)),
+            handover,
+        ]);
+        for (e, _) in &group {
+            assert_eq!(e.demoted(), Some(p(1)), "replica {:?}", e.me);
+            assert_eq!(e.primary(), Some(p(2)), "replica {:?}", e.me);
+        }
+        let executors: Vec<ProcessId> = group
+            .iter()
+            .filter(|(_, x)| *x)
+            .map(|(e, _)| e.me)
+            .collect();
+        assert_eq!(executors, vec![p(2)], "one replica executes as primary");
+    }
+
+    #[test]
+    fn a_primary_taking_over_mid_window_waits_for_the_handover() {
+        // The incoming primary crashes before the laggard's handover
+        // lands: the next primary must not execute on its own, older state.
+        let (mut e, _) = trio(ReplicationStyle::WarmPassive, 3);
+        invoke(&mut e, 100, 1);
+        e.on_demote_request(p(1));
+        let ops = e.on_view_change(vec![p(1), p(3)], &[p(2)], &[]);
+        assert!(executed_entries(&ops).is_empty());
+        assert!(!ops.contains(&EngineOp::StartCheckpointTimer));
+        assert!(e.is_primary());
+        assert!(e.is_demoting());
+        assert!(executed_entries(&invoke(&mut e, 100, 2)).is_empty());
+        let ops = handover(&mut e);
+        assert!(matches!(
+            ops[0],
+            EngineOp::ApplyCheckpoint { version: 1, .. }
+        ));
+        assert_eq!(executed_entries(&ops), vec![(2, true)]);
+        assert!(ops.contains(&EngineOp::StartCheckpointTimer));
+        assert!(!e.is_demoting());
     }
 
     #[test]

@@ -130,7 +130,10 @@ impl AdaptationPolicy for RateThresholdPolicy {
             {
                 Some(AdaptationAction::SwitchStyle(ReplicationStyle::Active))
             }
-            _ => None,
+            ReplicationStyle::Active
+            | ReplicationStyle::WarmPassive
+            | ReplicationStyle::ColdPassive
+            | ReplicationStyle::SemiActive => None,
         }
     }
 }

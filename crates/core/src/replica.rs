@@ -632,9 +632,8 @@ impl ReplicationEngine {
             } => {
                 // Our own periodic checkpoint: the engine has executed at
                 // least `version` and would ignore it, so it is not even
-                // resolved. A final one still goes to the engine, which
-                // may be waiting on it (a switch delivered after our own
-                // demotion's handover was sent).
+                // resolved. A final one still goes to the engine: our own
+                // demotion's handover closes the demotion window here too.
                 if sender == self.me && !final_for_switch {
                     return;
                 }
@@ -1303,7 +1302,9 @@ impl ReplicationEngine {
                     self.directives
                         .push((ctx.now(), AdaptationAction::EvictLaggard));
                 }
-                other => {
+                other @ (AdaptationAction::AddReplica
+                | AdaptationAction::RemoveReplica
+                | AdaptationAction::NotifyOperators(_)) => {
                     // Replica-count changes need an external actuator: the
                     // recovery manager. Anchor the directive on the count
                     // this policy observed so repeated firings converge.

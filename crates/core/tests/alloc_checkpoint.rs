@@ -5,6 +5,12 @@
 //! mirror is its buffer's only handle. Building a `Bytes` from a finished
 //! buffer never copies it. Enforced with a counting global allocator that
 //! counts only the measuring thread.
+#![expect(
+    unsafe_code,
+    clippy::disallowed_types,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait, and a lock \
+              serializes the measuring threads; no actor runs here"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -90,16 +90,17 @@ fn run_engine(
             Delivered::Switch(target) => engine.on_switch_request(*target),
         };
         for op in ops {
-            match op {
-                EngineOp::Execute { entry, .. } => {
-                    executed.push((entry.client.0, entry.request_id));
-                }
-                EngineOp::BroadcastCheckpoint {
-                    final_for_switch: true,
-                } if is_primary_run => {
-                    checkpoint_feed.push((idx + 1, engine.executed()));
-                }
-                _ => {}
+            if let EngineOp::Execute { entry, .. } = op {
+                executed.push((entry.client.0, entry.request_id));
+            } else if is_primary_run
+                && matches!(
+                    op,
+                    EngineOp::BroadcastCheckpoint {
+                        final_for_switch: true
+                    }
+                )
+            {
+                checkpoint_feed.push((idx + 1, engine.executed()));
             }
         }
     }
@@ -219,9 +220,12 @@ fn failover_replay_covers_exactly_the_uncheckpointed_suffix() {
         let ops = backup.on_view_change(vec![ProcessId(2), ProcessId(3)], &[ProcessId(1)], &[]);
         let replayed: Vec<u64> = ops
             .iter()
-            .filter_map(|op| match op {
-                EngineOp::Execute { entry, .. } => Some(entry.request_id),
-                _ => None,
+            .filter_map(|op| {
+                if let EngineOp::Execute { entry, .. } = op {
+                    Some(entry.request_id)
+                } else {
+                    None
+                }
             })
             .collect();
         let expected: Vec<u64> = (checkpoint_after as u64 + 1..=crash_after as u64).collect();

@@ -49,7 +49,10 @@ struct Fixture {
 
 /// Node layout: replicas on 0..R, clients on R..R+C, managers on
 /// R+C..R+C+M, spare nodes (empty, for replacements) after that.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one dimension of the test-bed layout, named at every call site"
+)]
 fn fixture(
     n_replicas: u32,
     n_clients: u32,

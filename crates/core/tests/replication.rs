@@ -226,12 +226,12 @@ fn checkpoints_count_only_where_the_engine_applies_them() {
     let primary = c.replicas[0].0;
     let mut fresh: Vec<u64> = events
         .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::CheckpointSent { version, .. } => {
-                assert_eq!(e.actor, primary, "only the primary checkpoints");
-                Some(version)
-            }
-            _ => None,
+        .filter_map(|e| {
+            let EventKind::CheckpointSent { version, .. } = e.kind else {
+                return None;
+            };
+            assert_eq!(e.actor, primary, "only the primary checkpoints");
+            Some(version)
         })
         .collect();
     let sent = fresh.len();
@@ -245,9 +245,12 @@ fn checkpoints_count_only_where_the_engine_applies_them() {
         let applied: Vec<u64> = events
             .iter()
             .filter(|e| e.actor == r.0)
-            .filter_map(|e| match e.kind {
-                EventKind::CheckpointApplied { version, .. } => Some(version),
-                _ => None,
+            .filter_map(|e| {
+                if let EventKind::CheckpointApplied { version, .. } = e.kind {
+                    Some(version)
+                } else {
+                    None
+                }
             })
             .collect();
         let expected = if i == 0 { Vec::new() } else { fresh.clone() };

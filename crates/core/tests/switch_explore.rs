@@ -227,7 +227,11 @@ impl Payload for ToyMsg {
     fn wire_size(&self) -> usize {
         match self {
             ToyMsg::FinalCkpt(ops) => 16 + 8 * ops.len(),
-            _ => 16,
+            ToyMsg::Op(_)
+            | ToyMsg::Log(_)
+            | ToyMsg::LogAck(_)
+            | ToyMsg::Ack(_)
+            | ToyMsg::SwitchReq => 16,
         }
     }
 
@@ -279,7 +283,7 @@ impl Actor for ToyPrimary {
             ToyMsg::SwitchReq => {
                 ctx.send(self.backup, ToyMsg::FinalCkpt(self.applied.clone()));
             }
-            _ => {}
+            ToyMsg::Log(_) | ToyMsg::Ack(_) | ToyMsg::FinalCkpt(_) => {}
         }
     }
 
@@ -328,7 +332,7 @@ impl Actor for ToyBackup {
                 let ckpt = &self.ckpt;
                 self.log.retain(|n| !ckpt.contains(n));
             }
-            _ => {}
+            ToyMsg::Op(_) | ToyMsg::LogAck(_) | ToyMsg::Ack(_) | ToyMsg::SwitchReq => {}
         }
     }
 

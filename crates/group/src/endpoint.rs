@@ -12,6 +12,7 @@
 //! one failure detector per process pair, pushes heartbeat sections in via
 //! [`Endpoint::apply_heartbeat`] and suspicions via
 //! [`Endpoint::inject_suspicion`].
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -1501,7 +1502,6 @@ impl Endpoint {
         vc
     }
 
-    #[allow(clippy::too_many_lines)]
     fn handle_install(
         &mut self,
         now: SimTime,

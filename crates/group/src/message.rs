@@ -11,6 +11,7 @@
 //! paths all alias one encoding: cloning a `GroupMsg` is a reference-count
 //! bump, never a body copy (see DESIGN.md, "Data-plane allocation and
 //! batching contract").
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
@@ -341,9 +342,9 @@ impl Payload for GroupMsg {
 
     // Content digest for interleaving exploration: two in-flight group
     // messages hash equal iff they are behaviorally interchangeable. Every
-    // variant is covered exhaustively (enforced by the vd-check
-    // protocol-exhaustiveness lint) with a distinct tag byte. Tag 4 belonged
-    // to the retired per-group heartbeat and is not reused.
+    // variant is covered exhaustively (`clippy::wildcard_enum_match_arm`
+    // denies a catch-all arm) with a distinct tag byte. Tag 4 belonged to
+    // the retired per-group heartbeat and is not reused.
     fn digest(&self) -> Option<u64> {
         let mut h = Fnv64::new();
         match self {

@@ -88,7 +88,7 @@ impl SenderStream {
     }
 
     /// The highest sequence number seen at all.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn max_received(&self) -> u64 {
         self.max_received
     }
@@ -213,7 +213,7 @@ impl SenderStream {
     }
 
     /// Number of buffered messages (tests and memory accounting).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }

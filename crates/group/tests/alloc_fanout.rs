@@ -6,6 +6,12 @@
 //! it through reference counting. These tests enforce the contract with a
 //! counting global allocator — fanning a message out to N members must
 //! perform O(1) payload-sized allocations, not O(N).
+#![expect(
+    unsafe_code,
+    clippy::disallowed_types,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait, and a lock \
+              serializes the measuring threads; no actor runs here"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -144,17 +150,20 @@ fn batched_fan_out_builds_one_shared_frame() {
     // frame per peer, every copy sharing the same message vector.
     let batch_frames: Vec<&GroupMsg> = outputs
         .iter()
-        .filter_map(|o| match o {
-            Output::Send { msg, .. } => Some(msg),
-            _ => None,
+        .filter_map(|o| {
+            if let Output::Send { msg, .. } = o {
+                Some(msg)
+            } else {
+                None
+            }
         })
         .collect();
     assert_eq!(batch_frames.len(), 63, "one flush to each of 63 peers");
     for frame in batch_frames {
-        match frame {
-            GroupMsg::DataBatch { msgs, .. } => assert_eq!(msgs.len(), 8),
-            other => panic!("expected a DataBatch frame, got {other:?}"),
-        }
+        let GroupMsg::DataBatch { msgs, .. } = frame else {
+            panic!("expected a DataBatch frame, got {frame:?}");
+        };
+        assert_eq!(msgs.len(), 8);
     }
 }
 

@@ -31,9 +31,12 @@ fn pair(config: GroupConfig) -> (Endpoint, Endpoint) {
 fn frames_to_peer(outputs: Vec<Output>) -> Vec<GroupMsg> {
     outputs
         .into_iter()
-        .filter_map(|o| match o {
-            Output::Send { to, msg } if to == p(2) => Some(msg),
-            _ => None,
+        .filter_map(|o| {
+            if let Output::Send { to, msg } = o {
+                (to == p(2)).then_some(msg)
+            } else {
+                None
+            }
         })
         .collect()
 }

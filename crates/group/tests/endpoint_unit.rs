@@ -32,9 +32,12 @@ fn pair() -> (Endpoint, Endpoint) {
 fn sends(outputs: &[Output]) -> Vec<(ProcessId, &GroupMsg)> {
     outputs
         .iter()
-        .filter_map(|o| match o {
-            Output::Send { to, msg } => Some((*to, msg)),
-            _ => None,
+        .filter_map(|o| {
+            if let Output::Send { to, msg } = o {
+                Some((*to, msg))
+            } else {
+                None
+            }
         })
         .collect()
 }
@@ -69,9 +72,12 @@ fn start_arms_only_the_nack_retry_timer() {
     let outputs = a.start(SimTime::ZERO);
     let timers: Vec<GroupTimer> = outputs
         .iter()
-        .filter_map(|o| match o {
-            Output::SetTimer { timer, .. } => Some(*timer),
-            _ => None,
+        .filter_map(|o| {
+            if let Output::SetTimer { timer, .. } = o {
+                Some(*timer)
+            } else {
+                None
+            }
         })
         .collect();
     assert_eq!(timers, vec![GroupTimer::NackRetry]);
@@ -224,9 +230,12 @@ fn heartbeat_timer_broadcasts_acks() {
     let outputs = multi.handle_timer(SimTime::from_millis(10), MultiTimer::Heartbeat);
     let heartbeat = outputs
         .iter()
-        .find_map(|o| match o {
-            MultiOutput::Heartbeat { to, msg } if *to == p(2) => Some(msg),
-            _ => None,
+        .find_map(|o| {
+            if let MultiOutput::Heartbeat { to, msg } = o {
+                (*to == p(2)).then_some(msg)
+            } else {
+                None
+            }
         })
         .expect("heartbeat to the peer");
     assert!(heartbeat

@@ -316,7 +316,7 @@ fn virtual_synchrony_survivors_deliver_identical_prefix_before_view_change() {
             match event {
                 GroupEvent::Delivered(d) => delivered.push(d.payload.to_vec()),
                 GroupEvent::ViewInstalled { view, .. } => return (delivered, Some(view.clone())),
-                _ => {}
+                GroupEvent::Blocked | GroupEvent::SelfEvicted => {}
             }
         }
         (delivered, None)

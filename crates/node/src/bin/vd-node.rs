@@ -82,6 +82,11 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the main thread has nothing to do between startup and shutdown; --run-for-secs \
+              sleeps here while the node's loop thread does the work"
+)]
 fn run() -> Result<(), String> {
     let options = parse_args()?;
     let mut config =

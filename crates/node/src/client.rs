@@ -13,6 +13,11 @@
 //! The client is deliberately synchronous (it blocks on its own socket):
 //! it models the external client process at the edge of the system, not
 //! a supervised actor inside it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "an external ORB client that hosts no actors: it blocks on its own UDP socket \
+              until a wall-clock deadline"
+)]
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};

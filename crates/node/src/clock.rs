@@ -7,6 +7,10 @@
 //! epoch-independent. This is the same convention the simulator uses
 //! (time zero = world start), so protocol code cannot tell the backends
 //! apart by looking at the clock.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the real runtime's clock is the wall clock by design: Instant, presented as SimTime"
+)]
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -15,8 +15,9 @@
 //! request/reply frames, reply-log acks, replica commands and the
 //! recovery-manager gossip. Malformed input surfaces as
 //! [`DecodeError`] — never a panic — because a datagram from the network
-//! is attacker-adjacent input (the vd-check `decode-unwrap` lint enforces
-//! this for the whole file).
+//! is attacker-adjacent input (`clippy::unwrap_used` and
+//! `clippy::expect_used`, denied below, enforce this for the whole file).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 

@@ -381,7 +381,7 @@ fn get_millis(section: &Section, key: &'static str) -> Result<Option<u64>, Confi
         TomlValue::Int(n) => u64::try_from(*n)
             .ok()
             .filter(|ms| ms.checked_mul(1_000).is_some()),
-        _ => None,
+        TomlValue::Str(_) | TomlValue::Bool(_) | TomlValue::IntList(_) => None,
     };
     millis.map(Some).ok_or_else(|| ConfigError::Invalid {
         what: key,
@@ -481,8 +481,11 @@ impl NodeConfig {
 
     /// Reads and parses a config file.
     ///
-    /// File IO happens once at startup, before the node's loop exists —
-    /// this is the justified exception to the no-blocking rule.
+    /// File IO happens once at startup, before the node's loop exists.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the TOML config is read once at startup, before the node's loop thread exists"
+    )]
     pub fn load(path: &std::path::Path) -> Result<Self, ConfigError> {
         let text = std::fs::read_to_string(path).map_err(ConfigError::Io)?;
         Self::from_toml_str(&text)

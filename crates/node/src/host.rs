@@ -38,10 +38,9 @@
 use core::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::UdpSocket;
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::TryRecvError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -147,11 +146,15 @@ struct Hosted {
 }
 
 /// The loop's state; built on its own thread, since actors are not `Send`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the loop's end of the control channel, drained with try_recv, never waited on"
+)]
 struct EventLoop {
     node: NodeId,
     wire: Wire,
     actors: BTreeMap<ProcessId, Hosted>,
-    control: Receiver<Control>,
+    control: std::sync::mpsc::Receiver<Control>,
     obs: ObsHandle,
     log: Arc<NodeLog>,
 }
@@ -159,11 +162,15 @@ struct EventLoop {
 /// Runs a node: starts `actors`, then serves the socket, timers, restarts
 /// and held datagrams until [`Control::Shutdown`] or until the handle is
 /// dropped.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the loop thread's entry point takes the control channel's receiver"
+)]
 pub(crate) fn run(
     node: NodeId,
     wire: Wire,
     actors: Vec<ActorSpec>,
-    control: Receiver<Control>,
+    control: std::sync::mpsc::Receiver<Control>,
     obs: ObsHandle,
     log: Arc<NodeLog>,
 ) {
@@ -506,7 +513,12 @@ extern "C" {
 /// Blocks until `socket` is readable or `timeout` has passed (`None`: no
 /// limit). Returns whether the socket is readable; a signal (`EINTR`) is
 /// a spurious wake-up and reads as not readable.
-fn wait_readable(socket: &UdpSocket, timeout: Option<Duration>) -> io::Result<bool> {
+#[expect(
+    clippy::disallowed_types,
+    reason = "the event loop's only wait: ppoll on the node socket, which it then reads without \
+              blocking, and the next deadline"
+)]
+fn wait_readable(socket: &std::net::UdpSocket, timeout: Option<Duration>) -> io::Result<bool> {
     let mut fd = PollFd {
         fd: socket.as_raw_fd(),
         events: POLLIN,
@@ -525,9 +537,18 @@ fn wait_readable(socket: &UdpSocket, timeout: Option<Duration>) -> io::Result<bo
     // or points to a live `timespec` whose `tv_nsec` is below 10^9. A null
     // signal mask leaves the thread's mask unchanged. ppoll writes only
     // `fd.revents`.
+    #[expect(
+        unsafe_code,
+        reason = "the crate's one foreign call: std has no poll, and a socket read timeout is \
+                  rounded up to scheduler ticks"
+    )]
     let ready = unsafe { ppoll(&mut fd, 1, timeout_ptr, std::ptr::null()) };
     if ready < 0 {
         let err = io::Error::last_os_error();
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "io::ErrorKind is #[non_exhaustive]: every kind but EINTR's is a real error"
+        )]
         return match err.kind() {
             io::ErrorKind::Interrupted => Ok(false),
             _ => Err(err),
@@ -537,6 +558,12 @@ fn wait_readable(socket: &UdpSocket, timeout: Option<Duration>) -> io::Result<bo
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the loop's tests drive it from other threads over real sockets and time it on the \
+              wall clock"
+)]
 mod tests {
     use super::*;
     use std::net::UdpSocket;
@@ -634,6 +661,10 @@ mod tests {
                 let _ = self.report.send(std::mem::take(&mut self.lateness));
             }
         }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
+        }
     }
 
     #[test]
@@ -672,6 +703,10 @@ mod tests {
 
         fn on_message(&mut self, _: &mut Context<'_>, _: ProcessId, _: Box<dyn Payload>) {
             panic!("fragile actor {} got a message", self.attempt);
+        }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
         }
     }
 

@@ -17,8 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
-use std::sync::mpsc::{self, Sender};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -40,11 +39,16 @@ use crate::transport::Wire;
 pub struct Node;
 
 /// A running node: its event-loop thread and control surface.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the handle's end of the control channel, whose sends never block, and the socket \
+              clone that wakes the loop"
+)]
 pub struct NodeHandle {
     pids: Vec<ProcessId>,
-    control: Sender<Control>,
+    control: std::sync::mpsc::Sender<Control>,
     /// A clone of the node socket, used only to wake the loop.
-    waker: UdpSocket,
+    waker: std::net::UdpSocket,
     wake_addr: SocketAddr,
     thread: JoinHandle<()>,
     obs: ObsHandle,
@@ -52,10 +56,14 @@ pub struct NodeHandle {
     local_addr: SocketAddr,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "node startup binds the one node socket and hands it to the loop thread"
+)]
 impl Node {
     /// Binds `config.listen` and starts the node.
     pub fn start(config: NodeConfig) -> io::Result<NodeHandle> {
-        let socket = UdpSocket::bind(&config.listen)?;
+        let socket = std::net::UdpSocket::bind(&config.listen)?;
         Self::start_with_socket(config, socket)
     }
 
@@ -64,7 +72,10 @@ impl Node {
     /// Tests bind `127.0.0.1:0` themselves and rewrite the peer table
     /// with the kernel-chosen ports, which removes every port-collision
     /// race from the integration suite.
-    pub fn start_with_socket(config: NodeConfig, socket: UdpSocket) -> io::Result<NodeHandle> {
+    pub fn start_with_socket(
+        config: NodeConfig,
+        socket: std::net::UdpSocket,
+    ) -> io::Result<NodeHandle> {
         let obs = Obs::enabled();
         let mut policy = SupervisorPolicy::default();
         if let Some(ms) = config.restart_backoff_ms {
@@ -87,9 +98,15 @@ impl Node {
 
 /// Starts the thread `vd-node-<id>` hosting `actors` on `socket`, with the
 /// node id, peer table and log settings of `config`.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the node's one event-loop thread, named vd-node-<id>, takes the socket and the \
+              control channel's receiver; it is joined on shutdown"
+)]
 pub(crate) fn spawn(
     config: &NodeConfig,
-    socket: UdpSocket,
+    socket: std::net::UdpSocket,
     actors: Vec<ActorSpec>,
     obs: ObsHandle,
 ) -> io::Result<NodeHandle> {
@@ -115,7 +132,7 @@ pub(crate) fn spawn(
         peers.insert(ProcessId(peer.pid), addr);
     }
     let pids: Vec<ProcessId> = actors.iter().map(|spec| spec.pid).collect();
-    let (control, requests) = mpsc::channel();
+    let (control, requests) = std::sync::mpsc::channel();
     let wire = Wire::new(socket, peers, clock, obs.clone(), Arc::clone(&log));
     let thread = {
         let node = NodeId(config.node_id);
@@ -147,7 +164,7 @@ fn wake_address(local: SocketAddr) -> SocketAddr {
     let ip = match local.ip() {
         IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
         IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
+        ip @ (IpAddr::V4(_) | IpAddr::V6(_)) => ip,
     };
     SocketAddr::new(ip, local.port())
 }

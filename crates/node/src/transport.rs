@@ -23,7 +23,7 @@
 //! so none of it takes a lock. The receive half is the loop itself.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,8 +161,13 @@ impl DelayShim {
 /// The node's side of the network: the one UDP socket, the peer table and
 /// the egress-delay shim, shared by every actor the node hosts.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the Wire owns the node socket and performs every hosted actor's send actions \
+              through it, as non-blocking datagrams"
+)]
 pub(crate) struct Wire {
-    socket: UdpSocket,
+    socket: std::net::UdpSocket,
     peers: BTreeMap<ProcessId, SocketAddr>,
     shim: DelayShim,
     clock: NodeClock,
@@ -170,10 +175,14 @@ pub(crate) struct Wire {
     log: Arc<NodeLog>,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the Wire takes the node socket and lends it to the loop's ppoll"
+)]
 impl Wire {
     /// The send side of `socket`, addressing peers through `peers`.
     pub(crate) fn new(
-        socket: UdpSocket,
+        socket: std::net::UdpSocket,
         peers: BTreeMap<ProcessId, SocketAddr>,
         clock: NodeClock,
         obs: ObsHandle,
@@ -190,7 +199,7 @@ impl Wire {
     }
 
     /// The node socket (the event loop receives on it).
-    pub(crate) fn socket(&self) -> &UdpSocket {
+    pub(crate) fn socket(&self) -> &std::net::UdpSocket {
         &self.socket
     }
 
@@ -317,13 +326,17 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the shim's release is observed on a real receiving socket"
+    )]
     fn delay_shim_holds_then_releases_in_order() {
-        let recv = UdpSocket::bind("127.0.0.1:0").expect("bind recv");
+        let recv = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind recv");
         recv.set_nonblocking(true).expect("nonblocking");
         let addr = recv.local_addr().expect("addr");
         let clock = NodeClock::new();
         let mut wire = Wire::new(
-            UdpSocket::bind("127.0.0.1:0").expect("bind send"),
+            std::net::UdpSocket::bind("127.0.0.1:0").expect("bind send"),
             BTreeMap::new(),
             clock.clone(),
             vd_obs::Obs::disabled(),

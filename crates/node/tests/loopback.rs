@@ -11,6 +11,12 @@
 //! a node's event loop must keep while one of its actors is down: frames
 //! for it are dropped and counted, and an actor sharing its node keeps
 //! serving.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the real-network gate: a client on its own UDP socket drives real nodes against \
+              wall-clock deadlines"
+)]
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};

@@ -4,6 +4,7 @@
 //! simplified little-endian equivalent used for request/reply bodies,
 //! checkpoints and the replicator's own control messages. It has no
 //! alignment padding and length-prefixes all variable-size values.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;
 

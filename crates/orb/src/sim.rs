@@ -155,6 +155,12 @@ impl Actor for ServerActor {
         }
         ctx.send(dst, out);
     }
+
+    /// `None`: the hosted servants are opaque to the ORB, so a world with a
+    /// plain ORB server is never pruned.
+    fn state_digest(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl std::fmt::Debug for ServerActor {
@@ -304,7 +310,7 @@ impl RequestDriver {
                 }
                 rtt
             }
-            _ => None,
+            ReplyOutcome::Duplicate | ReplyOutcome::Pending | ReplyOutcome::Unmatched => None,
         }
     }
 
@@ -414,6 +420,12 @@ impl Actor for ClientActor {
         if timer == THINK_TIMER {
             self.issue(ctx);
         }
+    }
+
+    /// `None`: the plain ORB client only appears in worlds with a plain
+    /// ORB server, which are never pruned.
+    fn state_digest(&self) -> Option<u64> {
+        None
     }
 }
 

@@ -100,7 +100,10 @@ impl fmt::Debug for Action {
 ///
 /// A `Context` is passed to every [`Actor`] handler invocation. All effects
 /// requested through it are applied after the handler returns.
-#[allow(missing_debug_implementations)] // contains &mut borrows of world internals
+#[expect(
+    missing_debug_implementations,
+    reason = "holds &mut borrows of world internals"
+)]
 pub struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) self_id: ProcessId,
@@ -258,6 +261,11 @@ impl<'a> Context<'a> {
 ///     ) {
 ///         ctx.send(from, Ping);
 ///     }
+///
+///     // `None` opts this actor's worlds out of the explorer's pruning.
+///     fn state_digest(&self) -> Option<u64> {
+///         None
+///     }
 /// }
 /// ```
 pub trait Actor: Any {
@@ -270,15 +278,15 @@ pub trait Actor: Any {
     /// Invoked when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _timer: TimerToken) {}
 
-    /// An optional digest of this actor's logical state, used by
-    /// [`crate::explore`] to prune interleavings that reconverge to an
-    /// already-visited world state. The digest must cover everything that
-    /// influences future behavior (and nothing that doesn't, or pruning
-    /// degenerates to a no-op). Returning `None` (the default) exempts any
-    /// world containing this actor from pruning, which is always safe.
-    fn state_digest(&self) -> Option<u64> {
-        None
-    }
+    /// A digest of this actor's logical state, used by [`crate::explore`]
+    /// to prune interleavings that reconverge to an already-visited world
+    /// state. The digest must cover everything that influences future
+    /// behavior (and nothing that doesn't, or pruning degenerates to a
+    /// no-op). Returning `None` exempts any world containing this actor
+    /// from pruning, which is always safe. There is no default: one
+    /// digest-less actor silently disables pruning for its whole world, so
+    /// every actor states its choice.
+    fn state_digest(&self) -> Option<u64>;
 }
 
 /// Downcasts a boxed payload to a concrete type, returning the box back on

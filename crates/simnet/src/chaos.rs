@@ -232,22 +232,7 @@ impl FaultPlan {
     /// randomness, so a plan perturbs a run only at its fault instants.
     pub fn schedule(&self, world: &mut World) {
         for s in &self.steps {
-            match &s.action {
-                ChaosAction::CrashProcess(pid) => world.crash_process_at(*pid, s.at),
-                ChaosAction::CrashNode(n) => world.crash_node_at(*n, s.at),
-                ChaosAction::RestartNode(n) => world.restart_node_at(*n, s.at),
-                ChaosAction::Partition(l, r) => world.partition_at(l.clone(), r.clone(), s.at),
-                ChaosAction::PartitionOneWay(f, t) => world.partition_oneway_at(*f, *t, s.at),
-                ChaosAction::HealAll => world.heal_partitions_at(s.at),
-                ChaosAction::HealPair(a, b) => world.heal_pair_at(*a, *b, s.at),
-                ChaosAction::LossRate(p) => world.set_drop_probability_at(*p, s.at),
-                ChaosAction::Slowdown(n, f) => world.slow_node_at(*n, *f, s.at),
-                ChaosAction::LinkLoss(f, t, p) => world.set_link_loss_at(*f, *t, *p, s.at),
-                ChaosAction::LinkDelay(f, t, base, jitter) => {
-                    world.set_link_delay_at(*f, *t, *base, *jitter, s.at)
-                }
-                ChaosAction::ClockSkew(n, skew_us) => world.set_clock_skew_at(*n, *skew_us, s.at),
-            }
+            world.fault_at(s.action.clone(), s.at);
         }
     }
 
@@ -752,7 +737,14 @@ mod tests {
                             skewed.insert(n);
                         }
                     }
-                    _ => {}
+                    ChaosAction::CrashProcess(_)
+                    | ChaosAction::Partition(..)
+                    | ChaosAction::PartitionOneWay(..)
+                    | ChaosAction::HealAll
+                    | ChaosAction::HealPair(..)
+                    | ChaosAction::LossRate(_)
+                    | ChaosAction::LinkLoss(..)
+                    | ChaosAction::LinkDelay(..) => {}
                 }
                 assert!(
                     !down.contains(&NodeId(0)),

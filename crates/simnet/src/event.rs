@@ -8,6 +8,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::actor::{Actor, Payload, TimerToken};
+use crate::chaos::ChaosAction;
 use crate::time::SimTime;
 use crate::topology::{NodeId, ProcessId};
 
@@ -30,30 +31,8 @@ pub(crate) enum EventKind {
         node: NodeId,
         actor: Box<dyn Actor>,
     },
-    /// Apply a scheduled control action (fault injection etc.).
-    Control(ControlAction),
-}
-
-/// Scheduled world-control actions, mostly fault injection.
-#[derive(Debug, Clone)]
-pub(crate) enum ControlAction {
-    CrashProcess(ProcessId),
-    CrashNode(NodeId),
-    RestartNode(NodeId),
-    SetNodeSlowdown(NodeId, f64),
-    SetDropProbability(f64),
-    PartitionNodes(Vec<NodeId>, Vec<NodeId>),
-    PartitionOneWay(NodeId, NodeId),
-    HealPartitions,
-    HealPair(NodeId, NodeId),
-    SetLinkLoss(NodeId, NodeId, f64),
-    SetLinkDelay(
-        NodeId,
-        NodeId,
-        crate::time::SimDuration,
-        crate::time::SimDuration,
-    ),
-    SetClockSkew(NodeId, i64),
+    /// Inject (or repair) a scheduled fault.
+    Control(ChaosAction),
 }
 
 pub(crate) struct ScheduledEvent {
@@ -136,7 +115,7 @@ impl EventQueue {
         self.heap.len()
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -225,9 +204,11 @@ mod tests {
             q.push(t, timer_event(1, token));
         }
         let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Timer { token, .. } => token.0,
-                _ => unreachable!(),
+            .map(|e| {
+                let EventKind::Timer { token, .. } = e.kind else {
+                    unreachable!()
+                };
+                token.0
             })
             .collect();
         assert_eq!(tokens, (0..10).collect::<Vec<_>>());
@@ -259,10 +240,10 @@ mod tests {
     }
 
     fn key_and_token(e: ScheduledEvent) -> (u64, u64, u64) {
-        match e.kind {
-            EventKind::Timer { token, .. } => (e.time.as_micros(), e.seq, token.0),
-            _ => unreachable!(),
-        }
+        let EventKind::Timer { token, .. } = e.kind else {
+            unreachable!()
+        };
+        (e.time.as_micros(), e.seq, token.0)
     }
 
     /// Re-keying the top in place pops exactly what popping it and pushing

@@ -84,7 +84,6 @@ use std::collections::{BTreeSet, VecDeque};
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::time::SimTime;
 use crate::topology::ProcessId;
@@ -349,9 +348,13 @@ const VISITED_SHARDS: usize = 16;
 
 /// Everything the worker fleet shares. Locks guard coarse structures
 /// (deques, digest shards, the best violation); counters are atomics.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the worker threads share these under locks, outside every actor"
+)]
 struct Fleet {
-    deques: Vec<Mutex<VecDeque<WorkItem>>>,
-    visited: Vec<Mutex<BTreeSet<u64>>>,
+    deques: Vec<std::sync::Mutex<VecDeque<WorkItem>>>,
+    visited: Vec<std::sync::Mutex<BTreeSet<u64>>>,
     /// Tree nodes not yet fully processed; 0 means the tree is drained.
     outstanding: AtomicU64,
     schedules: AtomicU64,
@@ -360,15 +363,21 @@ struct Fleet {
     max_depth_reached: AtomicU64,
     truncated: AtomicBool,
     /// The minimal-path violation found so far.
-    best: Mutex<Option<(Vec<u32>, Violation)>>,
+    best: std::sync::Mutex<Option<(Vec<u32>, Violation)>>,
 }
 
 impl Fleet {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the worker threads' locks, outside every actor"
+    )]
     fn new(workers: usize) -> Self {
         Fleet {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            deques: (0..workers)
+                .map(|_| std::sync::Mutex::new(VecDeque::new()))
+                .collect(),
             visited: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(BTreeSet::new()))
+                .map(|_| std::sync::Mutex::new(BTreeSet::new()))
                 .collect(),
             outstanding: AtomicU64::new(0),
             schedules: AtomicU64::new(0),
@@ -376,7 +385,7 @@ impl Fleet {
             pruned: AtomicU64::new(0),
             max_depth_reached: AtomicU64::new(0),
             truncated: AtomicBool::new(false),
-            best: Mutex::new(None),
+            best: std::sync::Mutex::new(None),
         }
     }
 
@@ -709,6 +718,11 @@ pub fn counterexample_record(label: &str, violation: &Violation) -> String {
 
 /// Appends one violation to `path` as a JSONL counterexample record,
 /// creating the file (and parent directory) if needed.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "writes a counterexample after the exploration, outside every actor"
+)]
 pub fn append_counterexample(
     path: &Path,
     label: &str,
@@ -771,6 +785,10 @@ fn schedule_field(line: &str) -> Option<Vec<Choice>> {
 /// Parses a JSONL replay file written via [`append_counterexample`].
 /// Malformed lines are skipped (the file may interleave records from
 /// several runs).
+#[expect(
+    clippy::disallowed_types,
+    reason = "reads counterexamples before a replay, outside every actor"
+)]
 pub fn load_counterexamples(path: &Path) -> std::io::Result<Vec<RecordedCounterexample>> {
     let file = std::fs::File::open(path)?;
     let mut records = Vec::new();
@@ -834,6 +852,10 @@ mod tests {
             if let Ok(tag) = downcast_payload::<Tag>(p) {
                 self.seen.push(tag.0);
             }
+        }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
         }
     }
     /// Like [`Recorder`], but participates in state-hash pruning.
@@ -1056,6 +1078,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "removes the counterexample file the test writes"
+    )]
     fn counterexamples_persist_and_replay_from_file() {
         // Unique-enough scratch path without clock or RNG access.
         let dir = std::env::temp_dir().join(format!("vd-explore-test-{}", std::process::id()));
@@ -1091,6 +1117,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "writes, then removes, the file the test parses"
+    )]
     fn record_escaping_round_trips() {
         let violation = Violation {
             schedule: vec![

@@ -39,6 +39,7 @@
 //!     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _p: Box<dyn Payload>) {
 //!         self.greeted = true;
 //!     }
+//!     fn state_digest(&self) -> Option<u64> { None }
 //! }
 //!
 //! let mut world = World::new(Topology::full_mesh(1), 7);

@@ -21,6 +21,7 @@
 //!     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _p: Box<dyn Payload>) {
 //!         self.0 += 1;
 //!     }
+//!     fn state_digest(&self) -> Option<u64> { None }
 //! }
 //!
 //! let mut world = World::new(Topology::full_mesh(2), 42);
@@ -36,7 +37,8 @@ use std::collections::BTreeMap;
 use vd_obs::{Ctr, Obs, ObsHandle};
 
 use crate::actor::{Action, Actor, Context, Payload, TimerToken};
-use crate::event::{ControlAction, EventKind, EventQueue};
+use crate::chaos::ChaosAction;
+use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultState;
 use crate::node::NodeState;
 use crate::rng::DeterministicRng;
@@ -242,38 +244,40 @@ impl World {
 
     // ----- fault injection -------------------------------------------------
 
+    /// Schedules `action` to fire at time `at`: the one entry point for
+    /// scheduled fault injection, which [`FaultPlan::schedule`] and the
+    /// helpers below go through.
+    ///
+    /// [`FaultPlan::schedule`]: crate::chaos::FaultPlan::schedule
+    pub fn fault_at(&mut self, action: ChaosAction, at: SimTime) {
+        self.queue.push(at, EventKind::Control(action));
+    }
+
     /// Crashes a process at time `at` (silent fail-stop).
     pub fn crash_process_at(&mut self, pid: ProcessId, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::CrashProcess(pid)));
+        self.fault_at(ChaosAction::CrashProcess(pid), at);
     }
 
     /// Crashes a node (and every process on it) at time `at`.
     pub fn crash_node_at(&mut self, node: NodeId, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::CrashNode(node)));
+        self.fault_at(ChaosAction::CrashNode(node), at);
     }
 
     /// Restarts a node at time `at`. Its crashed processes stay dead; new
     /// processes may be spawned on it.
     pub fn restart_node_at(&mut self, node: NodeId, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::RestartNode(node)));
+        self.fault_at(ChaosAction::RestartNode(node), at);
     }
 
     /// Applies a timing fault: from time `at`, CPU costs on `node` are
     /// multiplied by `factor` (use `1.0` to restore nominal speed).
     pub fn slow_node_at(&mut self, node: NodeId, factor: f64, at: SimTime) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::SetNodeSlowdown(node, factor)),
-        );
+        self.fault_at(ChaosAction::Slowdown(node, factor), at);
     }
 
     /// Sets the message-loss probability from time `at`.
     pub fn set_drop_probability_at(&mut self, p: f64, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::SetDropProbability(p)));
+        self.fault_at(ChaosAction::LossRate(p), at);
     }
 
     /// Immediately sets the message-loss probability.
@@ -283,40 +287,29 @@ impl World {
 
     /// Partitions the network between `left` and `right` at time `at`.
     pub fn partition_at(&mut self, left: Vec<NodeId>, right: Vec<NodeId>, at: SimTime) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::PartitionNodes(left, right)),
-        );
+        self.fault_at(ChaosAction::Partition(left, right), at);
     }
 
     /// Blocks traffic `from → to` only (asymmetric link failure) at `at`.
     pub fn partition_oneway_at(&mut self, from: NodeId, to: NodeId, at: SimTime) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::PartitionOneWay(from, to)),
-        );
+        self.fault_at(ChaosAction::PartitionOneWay(from, to), at);
     }
 
     /// Heals all partitions at time `at`.
     pub fn heal_partitions_at(&mut self, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::HealPartitions));
+        self.fault_at(ChaosAction::HealAll, at);
     }
 
     /// Heals both directions between `a` and `b` at time `at`, leaving any
     /// other standing partition in place.
     pub fn heal_pair_at(&mut self, a: NodeId, b: NodeId, at: SimTime) {
-        self.queue
-            .push(at, EventKind::Control(ControlAction::HealPair(a, b)));
+        self.fault_at(ChaosAction::HealPair(a, b), at);
     }
 
     /// Sets the loss probability of the directed link `from → to` at `at`
     /// (a lossy-but-alive gray link; `0.0` repairs).
     pub fn set_link_loss_at(&mut self, from: NodeId, to: NodeId, p: f64, at: SimTime) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::SetLinkLoss(from, to, p)),
-        );
+        self.fault_at(ChaosAction::LinkLoss(from, to, p), at);
     }
 
     /// From `at`, adds `base` plus up to `jitter` of deterministic jitter to
@@ -330,10 +323,7 @@ impl World {
         jitter: SimDuration,
         at: SimTime,
     ) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::SetLinkDelay(from, to, base, jitter)),
-        );
+        self.fault_at(ChaosAction::LinkDelay(from, to, base, jitter), at);
     }
 
     /// From `at`, offsets the clock actors on `node` perceive by `skew_us`
@@ -341,10 +331,7 @@ impl World {
     /// true time — only `Context::now` readings are distorted, which is
     /// exactly what breaks naive timeout-based failure detectors.
     pub fn set_clock_skew_at(&mut self, node: NodeId, skew_us: i64, at: SimTime) {
-        self.queue.push(
-            at,
-            EventKind::Control(ControlAction::SetClockSkew(node, skew_us)),
-        );
+        self.fault_at(ChaosAction::ClockSkew(node, skew_us), at);
     }
 
     // ----- execution -------------------------------------------------------
@@ -411,7 +398,9 @@ impl World {
         let (pid, timer) = match kind {
             EventKind::Deliver { dst, .. } => (*dst, None),
             EventKind::Timer { pid, token } => (*pid, Some(*token)),
-            _ => return None,
+            EventKind::Start { .. } | EventKind::SpawnDynamic { .. } | EventKind::Control(_) => {
+                return None
+            }
         };
         let entry = self.proc(pid).filter(|p| p.alive)?;
         let node = &self.nodes[entry.node.0 as usize];
@@ -738,10 +727,10 @@ impl World {
         }
     }
 
-    fn apply_control(&mut self, action: ControlAction) {
+    fn apply_control(&mut self, action: ChaosAction) {
         match action {
-            ControlAction::CrashProcess(pid) => self.crash_process_now(pid),
-            ControlAction::CrashNode(node) => {
+            ChaosAction::CrashProcess(pid) => self.crash_process_now(pid),
+            ChaosAction::CrashNode(node) => {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_up(false);
                 }
@@ -751,23 +740,23 @@ impl World {
                     }
                 }
             }
-            ControlAction::RestartNode(node) => {
+            ChaosAction::RestartNode(node) => {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_up(true);
                 }
             }
-            ControlAction::SetNodeSlowdown(node, factor) => {
+            ChaosAction::Slowdown(node, factor) => {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_slowdown(factor);
                 }
             }
-            ControlAction::SetDropProbability(p) => self.fault.set_drop_probability(p),
-            ControlAction::PartitionNodes(left, right) => self.fault.partition(&left, &right),
-            ControlAction::PartitionOneWay(from, to) => self.fault.partition_oneway(from, to),
-            ControlAction::HealPartitions => self.fault.heal(),
-            ControlAction::HealPair(a, b) => self.fault.heal_pair(a, b),
-            ControlAction::SetLinkLoss(from, to, p) => self.fault.set_link_loss(from, to, p),
-            ControlAction::SetLinkDelay(from, to, base, jitter) => {
+            ChaosAction::LossRate(p) => self.fault.set_drop_probability(p),
+            ChaosAction::Partition(left, right) => self.fault.partition(&left, &right),
+            ChaosAction::PartitionOneWay(from, to) => self.fault.partition_oneway(from, to),
+            ChaosAction::HealAll => self.fault.heal(),
+            ChaosAction::HealPair(a, b) => self.fault.heal_pair(a, b),
+            ChaosAction::LinkLoss(from, to, p) => self.fault.set_link_loss(from, to, p),
+            ChaosAction::LinkDelay(from, to, base, jitter) => {
                 self.fault.set_link_delay(from, to, base, jitter);
                 if self.fault.link_delay(from, to).is_none() {
                     // Repair: forget the FIFO watermark so the healed link
@@ -775,7 +764,7 @@ impl World {
                     self.link_fifo.remove(&(from, to));
                 }
             }
-            ControlAction::SetClockSkew(node, skew_us) => {
+            ChaosAction::ClockSkew(node, skew_us) => {
                 if let Some(state) = self.nodes.get_mut(node.0 as usize) {
                     state.set_clock_skew_us(skew_us);
                 }
@@ -809,7 +798,7 @@ mod tests {
     }
 
     #[derive(Debug)]
-    struct Pong(#[allow(dead_code)] u32);
+    struct Pong(#[expect(dead_code, reason = "the payload's value is never read back")] u32);
     impl Payload for Pong {
         fn wire_size(&self) -> usize {
             64
@@ -836,6 +825,10 @@ mod tests {
                 }
             }
         }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
+        }
     }
 
     /// Sends pings and records round trips.
@@ -858,6 +851,10 @@ mod tests {
             if crate::actor::downcast_payload::<Pong>(payload).is_ok() {
                 self.rtts.push(ctx.now() - self.sent_at);
             }
+        }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
         }
     }
 
@@ -1109,6 +1106,10 @@ mod tests {
                 ));
             }
         }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
+        }
     }
 
     #[test]
@@ -1276,6 +1277,10 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
                 self.readings.push(ctx.now());
             }
+
+            fn state_digest(&self) -> Option<u64> {
+                None
+            }
         }
         let mut world = lan_world(5);
         let reader = world.spawn(
@@ -1351,6 +1356,10 @@ mod tests {
             if token == TimerToken(1) {
                 ctx.cancel_timer(TimerToken(2));
             }
+        }
+
+        fn state_digest(&self) -> Option<u64> {
+            None
         }
     }
 

@@ -37,6 +37,10 @@ impl Actor for Bouncer {
             }
         }
     }
+
+    fn state_digest(&self) -> Option<u64> {
+        None
+    }
 }
 
 fn run_world(seed: u64, nodes: u32, loss: f64) -> (u64, Vec<Vec<u64>>) {
@@ -208,6 +212,10 @@ impl Actor for SequencedSender {
             ctx.set_timer(SimDuration::from_micros(150), TimerToken(1));
         }
     }
+
+    fn state_digest(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Records every received sequence number.
@@ -220,6 +228,10 @@ impl Actor for SequenceLog {
         if let Ok(ball) = vd_simnet::actor::downcast_payload::<Ball>(payload) {
             self.log.push(ball.0);
         }
+    }
+
+    fn state_digest(&self) -> Option<u64> {
+        None
     }
 }
 

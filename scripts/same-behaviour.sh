@@ -13,8 +13,9 @@
 #     masked (scripts/mask-wall-clock.sh);
 #   - the eleven printed reports (fanout's masked the same way) and the
 #     exit codes (`diff`).
-# It names the first difference and exits non-zero, or prints one line and
-# exits zero when everything matches.
+# It prints every output that differs, each with the first lines of its
+# diff, and exits non-zero; or prints one line and exits zero when all 19
+# match. A deliberate behaviour change thus shows everything it moved.
 #
 # usage: scripts/same-behaviour.sh <rev>
 # Needs no network; the first run builds <rev> from cold (a few minutes).
@@ -64,18 +65,17 @@ for dir in "$tmp/base" "$tmp/tree"; do
     done
 done
 
+differ=0
 for file in trace_switch.jsonl trace_failslow.jsonl BENCH_PR4.json BENCH_PR5.json BENCH_PR9.json \
-    BENCH_PR2.json BENCH_PR3.json; do
-    if ! cmp -- "$tmp/base/$file" "$tmp/tree/$file" >&2; then
-        echo "same-behaviour: $file differs from $rev" >&2
-        exit 1
+    BENCH_PR2.json BENCH_PR3.json exit-codes.txt $(printf '%s.txt ' $experiments); do
+    if ! diff -- "$tmp/base/$file" "$tmp/tree/$file" > "$tmp/diff"; then
+        differ=$((differ + 1))
+        echo "same-behaviour: $file differs from $rev; first lines of the diff (< $rev, > working tree):" >&2
+        head -n 6 "$tmp/diff" | cut -c 1-240 >&2
     fi
 done
-for report in exit-codes $experiments; do
-    if ! diff -- "$tmp/base/$report.txt" "$tmp/tree/$report.txt" > "$tmp/diff"; then
-        echo "same-behaviour: the $report output differs from $rev; first difference (< $rev, > working tree):" >&2
-        head -n 5 "$tmp/diff" >&2
-        exit 1
-    fi
-done
+if [ "$differ" -gt 0 ]; then
+    echo "same-behaviour: $differ of 19 outputs differ from $rev" >&2
+    exit 1
+fi
 echo "same-behaviour: identical to $rev (7 exported files, 11 reports, exit codes)"
